@@ -14,7 +14,7 @@ import numpy as np
 from hstream.bench import build_kernel, kernel_def
 from hstream.ir import ALL_DEVICES, AutoSchedule, DeviceIds, PerDeviceSchedule, UniformSchedule
 from hstream.pdl import parse_pdl_file, resolve_devices
-from hstream.runtime import SharedCursor, chunk_size_for, claim_chunk, execute
+from hstream.runtime import SharedCursor, chunk_size_for, execute
 
 HERE = Path(__file__).resolve().parent
 
@@ -54,7 +54,7 @@ def main():
 
     banner("Claiming chunks from the shared cursor (total=10, chunk=4)")
     cursor = SharedCursor(10)
-    while (chunk := claim_chunk(cursor, 4)) is not None:
+    while (chunk := cursor.claim(4)) is not None:
         print(f"  claimed [{chunk.start}, {chunk.finish})")
     print("  exhausted")
 

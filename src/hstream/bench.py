@@ -25,9 +25,14 @@ from typing import Iterable, Optional, Union
 from hstream.errors import ResolveError, VerificationError
 from hstream.frontend import compile_source
 from hstream.ir import DeviceIds, ElementType, KernelSpec, UniformSchedule
-from hstream.pdl import PlatformDescription, PuKind
+from hstream.pdl import PlatformDescription, PuKind, resolve_devices
 from hstream.pipeline import GeneratedSource, MemorySink, run_pipeline
-from hstream.runtime import ExecutableKernel, evaluate_sequential
+from hstream.runtime import (
+    ExecutableKernel,
+    compute_seconds,
+    evaluate_sequential,
+    transfer_seconds,
+)
 
 MB = 2**20
 DOUBLE_BYTES = ElementType.DOUBLE.size_bytes
@@ -217,16 +222,13 @@ def ideal_seconds(kernel: ExecutableKernel, platform: PlatformDescription,
                   device: DeviceIds, total_elements: int) -> float:
     """Lower-bound wall time: every unit serves elements at its modelled rate
     (compute plus, for accelerators, per-element transfer volume)."""
-    from hstream.pdl import resolve_devices
-    from hstream.runtime import SIM_ELEMENTS_PER_SECOND
-
     moved_bytes = sum(kernel.element_sizes[n] for n in kernel.transfer_ins) \
         + sum(kernel.element_sizes[n] for n in kernel.transfer_outs)
     rate = 0.0
     for pu in resolve_devices(platform, device):
-        per_element = 1.0 / (pu.speed_factor * SIM_ELEMENTS_PER_SECOND)
+        per_element = compute_seconds(pu, 1)
         if pu.kind is not PuKind.CPU:
-            per_element += pu.transfer_cost_per_mb * moved_bytes / MB
+            per_element += transfer_seconds(pu, moved_bytes)
         rate += 1.0 / per_element
     return total_elements / rate
 

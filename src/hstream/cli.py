@@ -177,29 +177,31 @@ def cmd_run(args) -> int:
     kernel = ExecutableKernel.from_kernel_spec(
         spec, _scalar_environment(result.program))
 
-    element_size = max((kernel.element_size(n) for n in kernel.array_names),
-                       default=8)
     if args.input.startswith("gen:"):
         try:
             mb = float(args.input[4:])
         except ValueError:
             raise UsageError(f"cannot parse '{args.input}' (expected gen:<MB>)")
-        total = max(1, int(mb * 2**20) // element_size)
-        in_type = (kernel.array_types[kernel.input_arrays[0]]
-                   if kernel.input_arrays else None)
+        total = max(1, int(mb * 2**20) // kernel.max_element_size)
         source = GeneratedSource(kernel.input_arrays, total, seed=args.seed,
-                                 **({"element_type": in_type} if in_type else {}))
+                                 element_types=kernel.array_types)
     else:
         if not kernel.input_arrays:
             raise UsageError("this kernel reads no stream inputs; use --input gen:N")
-        source = FileSource(args.input, kernel.input_arrays,
-                            kernel.array_types[kernel.input_arrays[0]])
+        in_types = {kernel.array_types[n] for n in kernel.input_arrays}
+        if len(in_types) > 1:
+            raise UsageError(
+                f"stream files hold one element type, but the inputs of "
+                f"'{kernel.name}' are {', '.join(sorted(t.value for t in in_types))}; "
+                f"use --input gen:N")
+        source = FileSource(args.input, kernel.input_arrays, in_types.pop())
 
     sink = DiscardSink() if args.output == "discard" \
         else FileSink(args.output, kernel.output_arrays)
     batch_elements = None
     if args.batch_mb is not None:
-        batch_elements = max(1, int(args.batch_mb * 2**20) // element_size)
+        batch_elements = max(1, int(args.batch_mb * 2**20)
+                             // kernel.max_element_size)
 
     try:
         stats, _ = run_pipeline(source, kernel, platform, spec.device,

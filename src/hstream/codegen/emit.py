@@ -20,7 +20,6 @@ from hstream.ir import (
     AllDevices,
     AutoSchedule,
     BinOp,
-    BoundVar,
     Expr,
     KernelSpec,
     Neg,
@@ -123,19 +122,9 @@ def gen_openmp(kernel: KernelSpec) -> EmittedUnit:
 def cuda_params(kernel: KernelSpec) -> list[str]:
     """CUDA parameter list: arrays in in-clause order, then out-only arrays,
     then scalars, then the guard length."""
-    params: list[str] = []
-    seen: set[str] = set()
-    for v in kernel.array_ins:
-        params.append(f"{v.element_type.c_name} *{v.name}")
-        seen.add(v.name)
-    for v in kernel.array_outs:
-        if v.name not in seen:
-            params.append(f"{v.element_type.c_name} *{v.name}")
-            seen.add(v.name)
-    for v in kernel.scalar_ins:
-        params.append(f"{v.element_type.c_name} {v.name}")
-    params.append("int len")
-    return params
+    return [f"{v.element_type.c_name} *{v.name}" for v in kernel.arrays] \
+        + [f"{v.element_type.c_name} {v.name}" for v in kernel.scalar_ins] \
+        + ["int len"]
 
 
 def gen_cuda(kernel: KernelSpec) -> EmittedUnit:
@@ -223,10 +212,7 @@ def _scheduling_text(kernel: KernelSpec) -> str:
 def _gpu_stage(kernel: KernelSpec) -> str:
     cuda = load_group("cuda")
     driver = load_group("driver")
-    arrays: list[BoundVar] = list(kernel.array_ins)
-    for v in kernel.array_outs:
-        if v.name not in {a.name for a in arrays}:
-            arrays.append(v)
+    arrays = kernel.arrays
 
     decls = [driver.render("pointer_decl", type=v.element_type.c_name, var=v.name)
              for v in arrays]

@@ -185,6 +185,14 @@ class KernelSpec:
         return tuple(v for v in self.outs if v.is_elementwise)
 
     @property
+    def arrays(self) -> tuple[BoundVar, ...]:
+        """Every clause array once: array ins in clause order, then out-only
+        arrays."""
+        in_names = {v.name for v in self.array_ins}
+        return self.array_ins + tuple(
+            v for v in self.array_outs if v.name not in in_names)
+
+    @property
     def local_names(self) -> frozenset[str]:
         return frozenset(v.name for v in self.locals_)
 

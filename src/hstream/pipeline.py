@@ -16,12 +16,13 @@ tuples.
 
 from __future__ import annotations
 
+import itertools
 import queue
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Protocol, Union
+from typing import Iterable, Iterator, Mapping, Optional, Protocol, Union
 
 import numpy as np
 
@@ -126,13 +127,16 @@ class StreamSource(Protocol):
 class GeneratedSource:
     """Deterministic pseudo-random source: each named array draws from its own
     seed stream, so content depends only on (seed, name, position), not on
-    batch boundaries."""
+    batch boundaries. `element_types` gives each array's type; arrays it does
+    not name are double."""
 
     def __init__(self, names: Iterable[str], total_elements: int, seed: int = 42,
-                 element_type: ElementType = ElementType.DOUBLE):
+                 element_types: Optional[Mapping[str, ElementType]] = None):
         self.names = tuple(names)
         self.total_elements = int(total_elements)
-        self.element_type = element_type
+        types = element_types or {}
+        self.element_types = {n: types.get(n, ElementType.DOUBLE)
+                              for n in self.names}
         self._remaining = self.total_elements
         self._rngs = {
             name: np.random.default_rng([seed, i])
@@ -144,11 +148,9 @@ class GeneratedSource:
         if count <= 0:
             return 0, {}
         self._remaining -= count
-        if self.element_type is ElementType.INT:
-            arrays = {n: rng.integers(-1000, 1000, count, dtype=np.int32)
-                      for n, rng in self._rngs.items()}
-        else:
-            arrays = {n: rng.random(count) for n, rng in self._rngs.items()}
+        arrays = {n: rng.integers(-1000, 1000, count, dtype=np.int32)
+                  if self.element_types[n] is ElementType.INT else rng.random(count)
+                  for n, rng in self._rngs.items()}
         return count, arrays
 
     def read_all(self) -> dict[str, np.ndarray]:
@@ -190,7 +192,8 @@ class FileSource:
 # --- Sinks ----------------------------------------------------------------------
 
 class FileSink:
-    """Writes output arrays as interleaved little-endian records."""
+    """Writes output arrays as interleaved little-endian records, each array's
+    elements in that array's own type."""
 
     def __init__(self, path: Union[str, Path], names: Iterable[str]):
         self.names = tuple(names)
@@ -200,9 +203,12 @@ class FileSink:
         if not self.names:
             return
         columns = [np.asarray(batch.outputs[name]) for name in self.names]
-        dtype = columns[0].dtype.newbyteorder("<")
-        stacked = np.stack([c.astype(dtype, copy=False) for c in columns], axis=1)
-        self._fh.write(stacked.tobytes())
+        records = np.empty(len(columns[0]), dtype=[
+            (name, col.dtype.newbyteorder("<"))
+            for name, col in zip(self.names, columns)])
+        for name, col in zip(self.names, columns):
+            records[name] = col
+        self._fh.write(records.data)  # the buffer itself; tobytes() would copy
 
     def close(self) -> None:
         self._fh.close()
@@ -244,16 +250,19 @@ class MemorySink:
 
 def produce(source: StreamSource, batch_elements: int) -> Iterator[Batch]:
     """Carve the source into consecutively numbered batches; the last one may
-    be shorter."""
+    be shorter. A batch size below 1 raises ValueError at the call, before
+    anything is read."""
     if batch_elements < 1:
         raise ValueError("batch_elements must be >= 1")
-    seq = 0
-    while True:
+    return _batches(source, batch_elements)
+
+
+def _batches(source: StreamSource, batch_elements: int) -> Iterator[Batch]:
+    for seq in itertools.count():
         count, arrays = source.read(batch_elements)
         if count == 0:
             return
         yield Batch(seq=seq, arrays=arrays, length=count)
-        seq += 1
 
 
 def process(batch: Batch, kernel: ExecutableKernel,
@@ -299,14 +308,12 @@ def default_batch_elements(kernel: ExecutableKernel,
     """Batch sizing rule: directive chunk size x engaged units x 4 (AUTO uses
     the 1 MB policy floor as its chunk stand-in)."""
     engaged = len(resolve_devices(platform, device))
-    element_size = max((kernel.element_size(n) for n in kernel.array_names),
-                       default=8)
     if isinstance(scheduling, UniformSchedule):
         chunk = scheduling.chunk_elements
     elif isinstance(scheduling, PerDeviceSchedule):
         chunk = max(scheduling.as_dict().values())
     else:
-        chunk = max(1, 2**20 // element_size)
+        chunk = max(1, 2**20 // kernel.max_element_size)
     return max(1, chunk * engaged * 4)
 
 
@@ -332,6 +339,13 @@ def _get(q: queue.Queue, cancel: threading.Event):
         except queue.Empty:
             if cancel.is_set():
                 return _DONE
+
+
+def _drain(q: queue.Queue, cancel: threading.Event) -> Iterator:
+    """Items from `q` up to the upstream stage's end marker, or until the run
+    is cancelled and the queue is empty."""
+    while (item := _get(q, cancel)) is not _DONE:
+        yield item
 
 
 class _Stage(threading.Thread):
@@ -364,13 +378,15 @@ def run_pipeline(source: StreamSource, kernel: ExecutableKernel,
 
     Returns aggregate run statistics (bytes follow the kernel's accounting
     convention; wall time spans the whole pipeline) and the stage trace.
-    Any stage error cancels the others and re-raises as PipelineError.
+    A batch size below 1 raises ValueError before any stage starts. Any stage
+    error cancels the others and re-raises as PipelineError.
     """
     if sink is None:
         sink = DiscardSink()
     if batch_elements is None:
         batch_elements = default_batch_elements(kernel, platform, device,
                                                 scheduling)
+    batches = produce(source, batch_elements)
     delays = stage_delays or StageDelays()
     trace = StageTrace()
     to_process: queue.Queue = queue.Queue(maxsize=queue_capacity)
@@ -378,24 +394,20 @@ def run_pipeline(source: StreamSource, kernel: ExecutableKernel,
     cancel = threading.Event()
     errors: list[BaseException] = []
     errors_lock = threading.Lock()
-    batch_stats: list[RunStats] = []
-    lengths: list[int] = []
+    written: list[tuple[RunStats, int]] = []
 
     class Reader(_Stage):
         def run(self):
             try:
-                seq = 0
-                while not self.cancel.is_set():
-                    begin = time.monotonic()
-                    count, arrays = source.read(batch_elements)
+                begin = time.monotonic()
+                for batch in batches:
                     if delays.read:
                         time.sleep(delays.read)
-                    if count == 0:
-                        break
-                    trace.record(seq, "read", begin, time.monotonic())
-                    if not _put(to_process, Batch(seq, arrays, count), self.cancel):
+                    trace.record(batch.seq, "read", begin, time.monotonic())
+                    if self.cancel.is_set() \
+                            or not _put(to_process, batch, self.cancel):
                         return
-                    seq += 1
+                    begin = time.monotonic()
             except BaseException as exc:
                 self.fail(exc)
             finally:
@@ -404,16 +416,13 @@ def run_pipeline(source: StreamSource, kernel: ExecutableKernel,
     class Processor(_Stage):
         def run(self):
             try:
-                while True:
-                    item = _get(to_process, self.cancel)
-                    if item is _DONE:
-                        break
+                for batch in _drain(to_process, self.cancel):
                     begin = time.monotonic()
-                    result = process(item, kernel, platform, device,
+                    result = process(batch, kernel, platform, device,
                                      scheduling, pace=pace)
                     if delays.process:
                         time.sleep(delays.process)
-                    trace.record(item.seq, "process", begin, time.monotonic())
+                    trace.record(batch.seq, "process", begin, time.monotonic())
                     if not _put(to_store, result, self.cancel):
                         return
             except BaseException as exc:
@@ -421,29 +430,22 @@ def run_pipeline(source: StreamSource, kernel: ExecutableKernel,
             finally:
                 _put(to_store, _DONE, self.cancel)
 
+    class RecordingSink:
+        """Times each write into the trace and keeps only (stats, length) per
+        batch, never the batch arrays."""
+
+        def write(self, batch: ProcessedBatch) -> None:
+            begin = time.monotonic()
+            sink.write(batch)
+            if delays.write:
+                time.sleep(delays.write)
+            trace.record(batch.seq, "write", begin, time.monotonic())
+            written.append((batch.stats, batch.length))
+
     class Writer(_Stage):
         def run(self):
-            pending: dict[int, ProcessedBatch] = {}
-            expected = 0
             try:
-                while True:
-                    item = _get(to_store, self.cancel)
-                    if item is _DONE:
-                        break
-                    pending[item.seq] = item
-                    while expected in pending:
-                        part = pending.pop(expected)
-                        begin = time.monotonic()
-                        sink.write(part)
-                        if delays.write:
-                            time.sleep(delays.write)
-                        trace.record(part.seq, "write", begin, time.monotonic())
-                        batch_stats.append(part.stats)
-                        lengths.append(part.length)
-                        expected += 1
-                if pending and not self.cancel.is_set():
-                    raise PipelineError(
-                        f"stream ended but batch {expected} never arrived")
+                store(_drain(to_store, self.cancel), RecordingSink())
             except BaseException as exc:
                 self.fail(exc)
 
@@ -461,10 +463,5 @@ def run_pipeline(source: StreamSource, kernel: ExecutableKernel,
         first = errors[0]
         raise PipelineError(f"pipeline failed in flight: {first}") from first
 
-    stats = RunStats.aggregate(batch_stats, wall)
-    # Aggregate parts report per-batch bytes already; recompute from lengths to
-    # cover the zero-batch case uniformly.
-    bytes_moved = kernel.bytes_per_element * sum(lengths)
-    stats.bytes_moved = bytes_moved
-    stats.throughput_mb_s = (bytes_moved / 2**20) / wall if wall > 0 else 0.0
-    return stats, trace
+    bytes_moved = kernel.bytes_per_element * sum(n for _, n in written)
+    return RunStats.aggregate([s for s, _ in written], wall, bytes_moved), trace

@@ -1,22 +1,21 @@
 """Runtime: chunk claiming, simulated devices, and multi-unit execution."""
 
-from hstream.runtime.cursor import Chunk, ClaimRecord, SharedCursor, claim_chunk
+from hstream.runtime.cursor import Chunk, ClaimRecord, SharedCursor
 from hstream.runtime.device import (
     SIM_ELEMENTS_PER_SECOND,
     SimulatedDevice,
+    compute_seconds,
     run_on_accelerator,
     run_on_cpu,
-    split_range,
+    transfer_seconds,
 )
 from hstream.runtime.executor import (
     AUTO_MAX_BYTES,
     AUTO_MIN_BYTES,
     AUTO_TARGET_CLAIMS,
-    CPU_WORKERS_ENV,
     PuStats,
     RunStats,
     chunk_size_for,
-    cpu_worker_count,
     execute,
 )
 from hstream.runtime.kernel import ExecutableKernel, compile_expr, evaluate_sequential
@@ -25,7 +24,6 @@ __all__ = [
     "AUTO_MAX_BYTES",
     "AUTO_MIN_BYTES",
     "AUTO_TARGET_CLAIMS",
-    "CPU_WORKERS_ENV",
     "Chunk",
     "ClaimRecord",
     "ExecutableKernel",
@@ -35,12 +33,11 @@ __all__ = [
     "SharedCursor",
     "SimulatedDevice",
     "chunk_size_for",
-    "claim_chunk",
     "compile_expr",
-    "cpu_worker_count",
+    "compute_seconds",
     "evaluate_sequential",
     "execute",
     "run_on_accelerator",
     "run_on_cpu",
-    "split_range",
+    "transfer_seconds",
 ]

@@ -72,8 +72,3 @@ class SharedCursor:
         with self._lock:
             return self._next >= self.total
 
-
-def claim_chunk(cursor: SharedCursor, chunk_size: int,
-                tag: Optional[int] = None) -> Optional[Chunk]:
-    """Functional form of SharedCursor.claim; None signals exhaustion."""
-    return cursor.claim(chunk_size, tag)

@@ -4,9 +4,10 @@ Accelerators never touch host memory outside copy-in/copy-out: each chunk is
 served by freshly allocated private buffers, the body evaluates against those
 buffers only, and results are copied back into the claimed host range.
 
-Each path returns the simulated seconds charged for the chunk under the
-configured cost model (transfer seconds per MB plus elements divided by
-speed). `SIM_ELEMENTS_PER_SECOND` anchors speed_factor 1.0; at 8-byte
+The cost model is `compute_seconds` (elements divided by speed) plus, on
+accelerators, `transfer_seconds` (seconds per MB moved); every charge and
+every analytic floor is computed from these two functions.
+`SIM_ELEMENTS_PER_SECOND` anchors speed_factor 1.0; at 8-byte
 elements that is 32 MiB/s, slow enough that paced multi-unit runs are
 dominated by the model rather than by per-chunk interpreter dispatch, which
 is serialized across controller threads.
@@ -29,61 +30,34 @@ SIM_ELEMENTS_PER_SECOND = 4_194_304
 PhaseHook = Callable[[str], None]
 
 
+def compute_seconds(pu: ProcessingUnit, elements: int) -> float:
+    """Modelled time for `pu` to evaluate `elements` elements."""
+    return elements / (pu.speed_factor * SIM_ELEMENTS_PER_SECOND)
+
+
+def transfer_seconds(pu: ProcessingUnit, bytes_moved: int) -> float:
+    """Modelled time to move `bytes_moved` bytes between host and `pu`."""
+    return pu.transfer_cost_per_mb * (bytes_moved / 2**20)
+
+
 @dataclass
 class SimulatedDevice:
-    """An in-process accelerator stand-in with private buffers and a cost model."""
+    """An in-process accelerator stand-in with private buffers."""
 
     pu: ProcessingUnit
     device_buffers: dict[str, np.ndarray] = field(default_factory=dict)
 
-    @property
-    def speed_factor(self) -> float:
-        return self.pu.speed_factor
-
-    @property
-    def transfer_cost_per_mb(self) -> float:
-        return self.pu.transfer_cost_per_mb
-
-    def compute_seconds(self, elements: int) -> float:
-        return elements / (self.speed_factor * SIM_ELEMENTS_PER_SECOND)
-
-    def transfer_seconds(self, bytes_moved: int) -> float:
-        return self.transfer_cost_per_mb * (bytes_moved / 2**20)
-
-
-def split_range(start: int, finish: int, parts: int) -> list[tuple[int, int]]:
-    """Divide [start, finish) into at most `parts` contiguous non-empty ranges."""
-    length = finish - start
-    parts = max(1, min(parts, length))
-    base, extra = divmod(length, parts)
-    out = []
-    lo = start
-    for i in range(parts):
-        hi = lo + base + (1 if i < extra else 0)
-        out.append((lo, hi))
-        lo = hi
-    return out
-
 
 def run_on_cpu(kernel: ExecutableKernel, host_data: Mapping[str, np.ndarray],
-               chunk: Chunk, worker_threads: int) -> None:
-    """Evaluate a chunk in place on host memory, divided among worker ranges.
+               chunk: Chunk) -> None:
+    """Evaluate a chunk in place on host memory, in one vectorised pass.
 
-    The host path needs no data movement. The statements are elementwise, so
-    applying them to every worker share at once is the same computation as one
-    pass per share; the single vectorized pass keeps the interpreter out of
-    the way of the other controllers. The configured CPU speed covers all of
-    the unit's worker threads together, so the executor charges the chunk via
-    `chunk_compute_seconds`; `split_range` defines the share boundaries the
-    worker model stands for.
+    The host path needs no data movement. The configured CPU speed stands for
+    the whole unit, so the executor charges the chunk `compute_seconds`.
     """
     views = {name: host_data[name][chunk.start:chunk.finish]
              for name in kernel.array_names}
     kernel.eval_into(views, len(chunk))
-
-
-def chunk_compute_seconds(pu: ProcessingUnit, elements: int) -> float:
-    return elements / (pu.speed_factor * SIM_ELEMENTS_PER_SECOND)
 
 
 def run_on_accelerator(dev: SimulatedDevice, kernel: ExecutableKernel,
@@ -131,4 +105,4 @@ def run_on_accelerator(dev: SimulatedDevice, kernel: ExecutableKernel,
         phase_hook("copied_out")
 
     dev.device_buffers.clear()
-    return dev.transfer_seconds(bytes_moved) + dev.compute_seconds(length)
+    return transfer_seconds(dev.pu, bytes_moved) + compute_seconds(dev.pu, length)

@@ -18,7 +18,6 @@ follow the configured device speeds rather than interpreter speed.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -39,13 +38,11 @@ from hstream.pdl import PlatformDescription, ProcessingUnit, PuKind, resolve_dev
 from hstream.runtime.cursor import ClaimRecord, SharedCursor
 from hstream.runtime.device import (
     SimulatedDevice,
-    chunk_compute_seconds,
+    compute_seconds,
     run_on_accelerator,
     run_on_cpu,
 )
 from hstream.runtime.kernel import ExecutableKernel
-
-CPU_WORKERS_ENV = "HSTREAM_CPU_WORKERS"
 
 # AUTO policy: aim for ~16 claims per unit, proportional to configured speed,
 # clamped to [1 MB, 64 MB] worth of elements.
@@ -78,7 +75,6 @@ class RunStats:
     per_pu: dict[int, PuStats]
     wall_time: float
     bytes_moved: int
-    throughput_mb_s: float
     claim_log: Optional[list[ClaimRecord]] = field(default=None, repr=False)
 
     @property
@@ -89,19 +85,24 @@ class RunStats:
     def total_chunks(self) -> int:
         return sum(s.chunks_claimed for s in self.per_pu.values())
 
+    @property
+    def throughput_mb_s(self) -> float:
+        if self.wall_time <= 0:
+            return 0.0
+        return (self.bytes_moved / 2**20) / self.wall_time
+
     @staticmethod
-    def aggregate(parts: list["RunStats"], wall_time: float) -> "RunStats":
+    def aggregate(parts: list["RunStats"], wall_time: float,
+                  bytes_moved: int) -> "RunStats":
+        """Sum per-unit figures over `parts`; wall and bytes describe the whole."""
         per_pu: dict[int, PuStats] = {}
-        bytes_moved = 0
         for part in parts:
-            bytes_moved += part.bytes_moved
             for pu_id, stats in part.per_pu.items():
                 merged = per_pu.setdefault(pu_id, PuStats(pu_id))
                 merged.chunks_claimed += stats.chunks_claimed
                 merged.elements_processed += stats.elements_processed
                 merged.busy_time += stats.busy_time
-        throughput = (bytes_moved / 2**20) / wall_time if wall_time > 0 else 0.0
-        return RunStats(per_pu, wall_time, bytes_moved, throughput)
+        return RunStats(per_pu, wall_time, bytes_moved)
 
 
 def chunk_size_for(pu: ProcessingUnit, spec: SchedulingSpec, total: int,
@@ -134,16 +135,6 @@ def chunk_size_for(pu: ProcessingUnit, spec: SchedulingSpec, total: int,
     raise TypeError(f"not a scheduling spec: {spec!r}")
 
 
-def cpu_worker_count(pu: ProcessingUnit, engaged_count: int) -> int:
-    """Workers for the cpu controller: host threads minus one controller per
-    engaged unit, minimum 1. Overridable via HSTREAM_CPU_WORKERS for tests."""
-    override = os.environ.get(CPU_WORKERS_ENV)
-    if override:
-        return max(1, int(override))
-    host_threads = pu.threads if pu.threads else pu.cores
-    return max(1, host_threads - engaged_count)
-
-
 def _validate_host_data(kernel: ExecutableKernel,
                         host_data: Mapping[str, np.ndarray]) -> int:
     lengths = set()
@@ -165,14 +156,13 @@ def _validate_host_data(kernel: ExecutableKernel,
 class _Controller:
     def __init__(self, pu: ProcessingUnit, kernel: ExecutableKernel,
                  host_data: Mapping[str, np.ndarray], cursor: SharedCursor,
-                 chunk_size: int, workers: int, pace: bool,
+                 chunk_size: int, pace: bool,
                  cancel: threading.Event):
         self.pu = pu
         self.kernel = kernel
         self.host_data = host_data
         self.cursor = cursor
         self.chunk_size = chunk_size
-        self.workers = workers
         self.pace = pace
         self.cancel = cancel
         self.stats = PuStats(pu.id)
@@ -187,8 +177,8 @@ class _Controller:
                 if chunk is None:
                     break
                 if self.device is None:
-                    run_on_cpu(self.kernel, self.host_data, chunk, self.workers)
-                    charged = chunk_compute_seconds(self.pu, len(chunk))
+                    run_on_cpu(self.kernel, self.host_data, chunk)
+                    charged = compute_seconds(self.pu, len(chunk))
                 else:
                     charged = run_on_accelerator(
                         self.device, self.kernel, self.host_data, chunk)
@@ -219,12 +209,9 @@ def execute(kernel: ExecutableKernel, host_data: Mapping[str, np.ndarray],
     """
     pus = resolve_devices(platform, device)
     total = _validate_host_data(kernel, host_data)
-    element_size = max(
-        (kernel.element_size(n) for n in kernel.array_names), default=8)
-
     chunk_sizes = {
         pu.id: chunk_size_for(pu, scheduling, total, engaged=pus,
-                              element_size=element_size)
+                              element_size=kernel.max_element_size)
         for pu in pus
     }
 
@@ -232,8 +219,7 @@ def execute(kernel: ExecutableKernel, host_data: Mapping[str, np.ndarray],
     cancel = threading.Event()
     controllers = [
         _Controller(pu, kernel, host_data, cursor, chunk_sizes[pu.id],
-                    workers=cpu_worker_count(pu, len(pus)), pace=pace,
-                    cancel=cancel)
+                    pace=pace, cancel=cancel)
         for pu in pus
     ]
 
@@ -256,7 +242,6 @@ def execute(kernel: ExecutableKernel, host_data: Mapping[str, np.ndarray],
         raise RuntimeError(
             f"claim accounting is broken: processed {processed} of {total}")
 
-    bytes_moved = kernel.bytes_per_element * total
-    throughput = (bytes_moved / 2**20) / wall if wall > 0 else 0.0
-    return RunStats(per_pu=per_pu, wall_time=wall, bytes_moved=bytes_moved,
-                    throughput_mb_s=throughput, claim_log=cursor.claim_log)
+    return RunStats(per_pu=per_pu, wall_time=wall,
+                    bytes_moved=kernel.bytes_per_element * total,
+                    claim_log=cursor.claim_log)

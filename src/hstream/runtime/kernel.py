@@ -99,6 +99,8 @@ class ExecutableKernel:
     element_sizes: dict[str, int] = field(init=False, repr=False)
     numpy_dtypes: dict[str, "np.dtype"] = field(init=False, repr=False)
     buffer_bytes_per_element: int = field(init=False, repr=False)
+    # widest element, which sizes byte-denominated batches and chunks
+    max_element_size: int = field(init=False, repr=False)
 
     def __post_init__(self):
         seen: list[str] = []
@@ -110,6 +112,7 @@ class ExecutableKernel:
         self.numpy_dtypes = {n: np.dtype(self.array_types[n].numpy_dtype)
                              for n in seen}
         self.buffer_bytes_per_element = sum(self.element_sizes.values())
+        self.max_element_size = max(self.element_sizes.values(), default=8)
 
     @classmethod
     def from_kernel_spec(cls, spec: KernelSpec,
@@ -143,9 +146,6 @@ class ExecutableKernel:
             statements=statements,
             bytes_per_element=bytes_per_element,
         )
-
-    def element_size(self, name: str) -> int:
-        return self.element_sizes[name]
 
     def eval_into(self, arrays: Mapping[str, np.ndarray], length: int) -> None:
         """Run the body over `length` elements, writing targets in place.

@@ -217,8 +217,7 @@ def test_criterion_5_pipeline_overlap_and_ordering():
     rng = random.Random(77)
     for _ in range(100):
         count = rng.randint(1, 16)
-        stats = RunStats(per_pu={}, wall_time=0.0, bytes_moved=0,
-                         throughput_mb_s=0.0)
+        stats = RunStats(per_pu={}, wall_time=0.0, bytes_moved=0)
         items = [ProcessedBatch(seq, {"a": np.full(2, float(seq))}, 2, stats)
                  for seq in range(count)]
         rng.shuffle(items)

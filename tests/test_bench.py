@@ -14,6 +14,7 @@ from hstream.bench import (
     count_file_loc,
     count_pragma_loc,
     desk_plan,
+    ideal_seconds,
     kernel_catalog,
     kernel_def,
     paper_plan,
@@ -23,9 +24,9 @@ from hstream.bench import (
     summarize,
 )
 from hstream.errors import ResolveError, VerificationError
-from hstream.ir import DeviceIds
+from hstream.ir import DeviceIds, UniformSchedule
 from hstream.pdl import parse_pdl
-from hstream.runtime import evaluate_sequential
+from hstream.runtime import evaluate_sequential, execute
 from tests.conftest import DISA_PDL, PROGRAMS
 
 SCALAR = 3.0
@@ -205,6 +206,20 @@ def test_stream_size_does_not_move_throughput():
     spread = (max(thr.values()) - min(thr.values())) / max(thr.values())
     assert spread < 0.25, f"stream size moved throughput by {spread:.0%}"
     assert means  # pooled means exist for both sizes
+
+
+@pytest.mark.parametrize("unit", [1, 0], ids=["gpu", "cpu"])
+def test_one_chunk_charge_equals_analytic_floor(unit):
+    # the executor's charge and the sweep's floor come from one cost model
+    platform = parse_pdl(DISA_PDL)
+    _, kernel = build_kernel(kernel_def("TRIAD"))
+    n = 4096
+    host = {"a": np.zeros(n), "b": np.ones(n), "c": np.ones(n)}
+    device = DeviceIds((unit,))
+    stats = execute(kernel, host, platform, device, UniformSchedule(n))
+    assert stats.per_pu[unit].chunks_claimed == 1
+    assert stats.per_pu[unit].busy_time == pytest.approx(
+        ideal_seconds(kernel, platform, device, n))
 
 
 # --- summaries ---------------------------------------------------------------------

@@ -4,10 +4,28 @@ import numpy as np
 import pytest
 
 from hstream.cli import main
+from hstream.frontend import compile_source
+from hstream.pipeline import GeneratedSource
+from hstream.runtime import ExecutableKernel, evaluate_sequential
 from tests.conftest import DISA_PDL, INVALID, PROGRAMS
 
 TRIAD = PROGRAMS / "triad.hs.c"
 STREAM = PROGRAMS / "stream.hs.c"
+
+MIXED = """int n[64];
+double b[64];
+int m[64];
+double a[64];
+double scale;
+
+scale = 0.5;
+
+#pragma hstream in(n, b, scale) out(m, a) device(*) scheduling(1000)
+{
+    m = n * 3;
+    a = b * scale + n;
+}
+"""
 
 
 @pytest.fixture()
@@ -139,6 +157,36 @@ def test_run_file_to_file_round_trip(tmp_path, pdl_file, capsys):
     assert code == 0
     got = np.fromfile(out, dtype="<f8")
     assert got.tobytes() == (b + 3.0 * c).tobytes()
+
+
+def test_run_mixed_input_types_from_generator(tmp_path, pdl_file, capsys):
+    program = tmp_path / "mixed.hs.c"
+    program.write_text(MIXED)
+    out = tmp_path / "out.bin"
+    code, _, err = run_cli(capsys, "run", program, "--pdl", pdl_file,
+                           "--input", "gen:0.1", "--output", out, "--seed", 3)
+    assert code == 0, err
+    kernel = ExecutableKernel.from_kernel_spec(
+        compile_source(MIXED, "Mixed").kernels[0], {"scale": 0.5})
+    total = int(0.1 * 2**20) // 8  # the widest element is a double
+    inputs = GeneratedSource(kernel.input_arrays, total, seed=3,
+                             element_types=kernel.array_types).read_all()
+    expected = evaluate_sequential(kernel, inputs)
+    got = np.fromfile(out, dtype=[("m", "<i4"), ("a", "<f8")])
+    assert got["m"].tobytes() == expected["m"].tobytes()
+    assert got["a"].tobytes() == expected["a"].tobytes()
+
+
+def test_run_rejects_stream_file_of_mixed_input_types(tmp_path, pdl_file,
+                                                      capsys):
+    program = tmp_path / "mixed.hs.c"
+    program.write_text(MIXED)
+    stream = tmp_path / "in.bin"
+    stream.write_bytes(b"\x00" * 24)
+    code, _, err = run_cli(capsys, "run", program, "--pdl", pdl_file,
+                           "--input", stream, "--output", tmp_path / "out.bin")
+    assert code == 1
+    assert "one element type" in err
 
 
 def test_run_rejects_multi_directive_program(pdl_file, capsys):

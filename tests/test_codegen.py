@@ -186,8 +186,8 @@ double b[8];
 def test_driver_gpu_stage_binds_myn_and_uses_templates():
     unit = gen_driver([kernel_from(TRIAD_SOURCE, "Triad")], parse_pdl(DISA_PDL))
     assert "int myN = finish - start;" in unit.text
-    assert "cudaCheckError(cudaMemcpy(b, d_b, sizeof(double)*myN, cudaMemcpyHostToDevice));" in unit.text
-    assert "cudaCheckError(cudaMemcpy(a, d_a, sizeof(double)*myN, cudaMemcpyDeviceToHost));" in unit.text
+    assert "cudaCheckError(cudaMemcpy(d_b, b + start, sizeof(double)*myN, cudaMemcpyHostToDevice));" in unit.text
+    assert "cudaCheckError(cudaMemcpy(a + start, d_a, sizeof(double)*myN, cudaMemcpyDeviceToHost));" in unit.text
     assert "#define BLOCK_SIZE 256" in unit.text
     assert "GPU_Triad<<<(myN + BLOCK_SIZE - 1) / BLOCK_SIZE, BLOCK_SIZE>>>(d_b, d_c, d_a, scalar, myN);" in unit.text
 

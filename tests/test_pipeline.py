@@ -61,7 +61,7 @@ class ListSource:
 
 
 def fake_processed(seq, length=2):
-    stats = RunStats(per_pu={}, wall_time=0.0, bytes_moved=0, throughput_mb_s=0.0)
+    stats = RunStats(per_pu={}, wall_time=0.0, bytes_moved=0)
     return ProcessedBatch(seq=seq, outputs={"a": np.full(length, float(seq))},
                           length=length, stats=stats)
 
@@ -237,6 +237,18 @@ def test_pipeline_error_in_processor_propagates():
                      batch_elements=16, sink=MemorySink())
 
 
+@pytest.mark.parametrize("batch_elements", [0, -5])
+def test_pipeline_rejects_bad_batch_size_before_starting(batch_elements):
+    platform = parse_pdl(SMALL_PLATFORM)
+    source = ListSource(("b",), 1000)
+    sink = MemorySink()
+    with pytest.raises(ValueError, match="batch_elements"):
+        run_pipeline(source, copy_kernel(), platform,
+                     batch_elements=batch_elements, sink=sink)
+    assert source.remaining == 1000  # nothing was read
+    assert sink.seqs == []
+
+
 def test_pipeline_error_in_source_propagates():
     platform = parse_pdl(SMALL_PLATFORM)
 
@@ -298,6 +310,26 @@ def test_file_sink_writes_seq_order_content(tmp_path):
     sink.close()
     data = np.fromfile(out, dtype="<f8")
     assert data.tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+
+
+def test_file_sink_writes_each_column_in_its_own_type(tmp_path):
+    out = tmp_path / "mixed.bin"
+    sink = FileSink(out, ("n", "d"))
+    stats = RunStats(per_pu={}, wall_time=0.0, bytes_moved=0)
+    sink.write(ProcessedBatch(0, {"n": np.array([1, 2], dtype=np.int32),
+                                  "d": np.array([0.5, 2.75])}, 2, stats))
+    sink.close()
+    records = np.fromfile(out, dtype=[("n", "<i4"), ("d", "<f8")])
+    assert out.stat().st_size == 2 * (4 + 8)
+    assert records["n"].tolist() == [1, 2]
+    assert records["d"].tolist() == [0.5, 2.75]
+
+
+def test_generated_source_types_each_array():
+    arrays = GeneratedSource(("n", "b"), 10, seed=3,
+                             element_types={"n": ElementType.INT}).read_all()
+    assert arrays["n"].dtype == np.int32
+    assert arrays["b"].dtype == np.float64
 
 
 def test_int_stream_file_source(tmp_path):

@@ -19,19 +19,17 @@ from hstream.pdl import parse_pdl
 from hstream.runtime import (
     AUTO_MAX_BYTES,
     AUTO_MIN_BYTES,
-    CPU_WORKERS_ENV,
     Chunk,
     ExecutableKernel,
     SharedCursor,
     SimulatedDevice,
     chunk_size_for,
-    claim_chunk,
-    cpu_worker_count,
+    compute_seconds,
     evaluate_sequential,
     execute,
     run_on_accelerator,
     run_on_cpu,
-    split_range,
+    transfer_seconds,
 )
 from tests.conftest import DISA_PDL, TRIAD_SOURCE
 
@@ -60,7 +58,7 @@ double scalar;
 def test_sequential_claims_partition_total():
     # hand enumeration: 10 in steps of 4 -> [0,4) [4,8) [8,10), then exhausted
     cursor = SharedCursor(10)
-    claims = [claim_chunk(cursor, 4) for _ in range(4)]
+    claims = [cursor.claim(4) for _ in range(4)]
     assert claims[0] == Chunk(0, 4)
     assert claims[1] == Chunk(4, 8)
     assert claims[2] == Chunk(8, 10)
@@ -68,18 +66,18 @@ def test_sequential_claims_partition_total():
 
 
 def test_empty_total_exhausts_immediately():
-    assert claim_chunk(SharedCursor(0), 8) is None
+    assert SharedCursor(0).claim(8) is None
 
 
 def test_chunk_clamped_at_total():
     cursor = SharedCursor(5)
-    assert claim_chunk(cursor, 8) == Chunk(0, 5)
-    assert claim_chunk(cursor, 8) is None
+    assert cursor.claim(8) == Chunk(0, 5)
+    assert cursor.claim(8) is None
 
 
 def test_claim_requires_positive_chunk():
     with pytest.raises(ValueError):
-        claim_chunk(SharedCursor(5), 0)
+        SharedCursor(5).claim(0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -174,33 +172,15 @@ def test_run_on_cpu_triad_values():
     kern = triad()
     host = {"a": np.zeros(2), "b": np.array([1.0, 2.0]),
             "c": np.array([10.0, 20.0])}
-    run_on_cpu(kern, host, Chunk(0, 2), worker_threads=2)
+    run_on_cpu(kern, host, Chunk(0, 2))
     assert host["a"].tolist() == [31.0, 62.0]
 
 
 def test_run_on_cpu_fill_constant():
     kern = kernel_of(FILL, {"scalar": 7.0})
     host = {"a": np.zeros(3)}
-    run_on_cpu(kern, host, Chunk(0, 3), worker_threads=4)
+    run_on_cpu(kern, host, Chunk(0, 3))
     assert host["a"].tolist() == [7.0, 7.0, 7.0]
-
-
-def test_split_range_covers_and_bounds_parts():
-    parts = split_range(3, 50, 8)
-    assert len(parts) == 8
-    assert parts[0][0] == 3 and parts[-1][1] == 50
-    for (alo, ahi), (blo, bhi) in zip(parts, parts[1:]):
-        assert ahi == blo and alo < ahi
-    assert split_range(0, 3, 8) == [(0, 1), (1, 2), (2, 3)]
-
-
-def test_cpu_worker_count_rule_and_env_override(monkeypatch):
-    platform = make_platform()
-    cpu = platform.by_id(0)
-    assert cpu_worker_count(cpu, engaged_count=5) == 35
-    assert cpu_worker_count(cpu, engaged_count=100) == 1
-    monkeypatch.setenv(CPU_WORKERS_ENV, "3")
-    assert cpu_worker_count(cpu, engaged_count=5) == 3
 
 
 # --- accelerator path ----------------------------------------------------------------
@@ -244,7 +224,7 @@ def test_accelerator_charge_counts_transfers_and_compute():
     n = 2**17  # 1 MB per slice
     host = {"a": np.zeros(n), "b": np.ones(n), "c": np.ones(n)}
     charged = run_on_accelerator(dev, kern, host, Chunk(0, n))
-    expected = dev.transfer_seconds(4 * n * 8) + dev.compute_seconds(n)
+    expected = transfer_seconds(dev.pu, 4 * n * 8) + compute_seconds(dev.pu, n)
     assert charged == pytest.approx(expected)
 
 
@@ -255,7 +235,7 @@ def test_fill_has_zero_copy_in_volume():
     n = 2**17
     host = {"a": np.zeros(n)}
     charged = run_on_accelerator(dev, kern, host, Chunk(0, n))
-    expected = dev.transfer_seconds(n * 8) + dev.compute_seconds(n)  # out only
+    expected = transfer_seconds(dev.pu, n * 8) + compute_seconds(dev.pu, n)  # out only
     assert charged == pytest.approx(expected)
 
 
@@ -412,6 +392,6 @@ s = -7;
     kern = kernel_of(src, {"s": -7})
     b = np.array([21, -21, 20, -20, 1, -1, 0, 6], dtype=np.int32)
     host = {"a": np.zeros(8, dtype=np.int32), "b": b}
-    run_on_cpu(kern, host, Chunk(0, 8), 1)
+    run_on_cpu(kern, host, Chunk(0, 8))
     # C truncation toward zero
     assert host["a"].tolist() == [-3, 3, -2, 2, 0, 0, 0, 0]

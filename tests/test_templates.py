@@ -63,7 +63,7 @@ def test_cuda_memcpy_template_exact_output():
     group = load_group("cuda")
     rendered = group.render("memcpy_host_to_device",
                             **{"from": "a", "to": "a", "type": "double"})
-    assert rendered == ("cudaCheckError(cudaMemcpy(a, d_a, sizeof(double)*myN, "
+    assert rendered == ("cudaCheckError(cudaMemcpy(d_a, a + start, sizeof(double)*myN, "
                         "cudaMemcpyHostToDevice));")
 
 
