@@ -65,7 +65,7 @@ def main():
     host = {"b": rng.random(n), "c": rng.random(n), "a": np.zeros(n)}
     stats = execute(kernel, host, platform, scheduling=UniformSchedule(32768),
                     pace=True)
-    print(f"  wall {stats.wall_time:.3f} s, "
+    print(f"  modelled makespan {stats.wall_time:.3f} s, "
           f"{stats.bytes_moved / 2**20:.0f} MB accounted, "
           f"{stats.throughput_mb_s:.0f} MB/s")
     for pu_id, pu_stats in sorted(stats.per_pu.items()):

@@ -2,12 +2,10 @@
 
 The six kernels (COPY, SCALE, ADD, TRIAD, FILL, DAXPY) are defined as pragma
 source and compiled through the regular frontend, so the sweep exercises the
-whole stack. Every run is verified against the sequential reference before
-its throughput is recorded; an unverified run aborts the sweep naming the
-cell. Cells run one at a time so timings never contend with each other;
-inputs are materialized before the measured window, configurations rotate
-innermost so shared-host drift lands on all of them alike, and a run whose
-wall blows past the configuration's analytic floor is remeasured.
+whole stack. Every run is verified bitwise against the sequential reference
+before its throughput is recorded; an unverified run aborts the sweep naming
+the cell. A paced run's throughput is modelled: the executor's virtual clock
+gives the same figure on every run, whatever else the host is doing.
 
 Bytes-per-element accounting follows the usual memory-benchmark convention:
 one element-size per array read plus one per array write (COPY/SCALE move 2
@@ -21,6 +19,8 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Union
+
+import numpy as np
 
 from hstream.errors import ResolveError, VerificationError
 from hstream.frontend import compile_source
@@ -182,61 +182,25 @@ def _elements(mb: float) -> int:
     return max(1, int(mb * MB) // DOUBLE_BYTES)
 
 
-class _ArraySource:
-    """Streams pre-materialized arrays, so measured walls cover processing
-    rather than input synthesis. Arrays the kernel also writes (inout) are
-    copied per read; pure inputs are handed out as views."""
-
-    def __init__(self, arrays: dict, total_elements: int, copy_names=()):
-        self.names = tuple(arrays)
-        self._arrays = arrays
-        self._total = total_elements
-        self._copy = set(copy_names)
-        self._pos = 0
-
-    def read(self, max_elements: int):
-        count = min(self._total - self._pos, max_elements)
-        if count <= 0:
-            return 0, {}
-        lo, hi = self._pos, self._pos + count
-        self._pos = hi
-        out = {}
-        for name, arr in self._arrays.items():
-            part = arr[lo:hi]
-            out[name] = part.copy() if name in self._copy else part
-        return count, out
-
-
-# A paced run's wall time cannot honestly beat the configuration's analytic
-# service floor (all units consuming elements at their modelled rates); walls
-# far above it mean the host stole the CPU mid-measurement. Such runs are
-# remeasured a bounded number of times and the fastest attempt is kept, so
-# shared-machine noise does not masquerade as a scheduling effect. The
-# threshold sits above the legitimate end-of-stream straggler overhead of
-# mixed-speed units.
-MEASUREMENT_ATTEMPTS = 3
-_INTERFERENCE_LIMIT = 1.3
-
-
 def ideal_seconds(kernel: ExecutableKernel, platform: PlatformDescription,
                   device: DeviceIds, total_elements: int) -> float:
     """Lower-bound wall time: every unit serves elements at its modelled rate
     (compute plus, for accelerators, per-element transfer volume)."""
-    moved_bytes = sum(kernel.element_sizes[n] for n in kernel.transfer_ins) \
-        + sum(kernel.element_sizes[n] for n in kernel.transfer_outs)
     rate = 0.0
     for pu in resolve_devices(platform, device):
         per_element = compute_seconds(pu, 1)
         if pu.kind is not PuKind.CPU:
-            per_element += transfer_seconds(pu, moved_bytes)
+            per_element += transfer_seconds(pu, kernel.transfer_bytes_per_element)
         rate += 1.0 / per_element
     return total_elements / rate
 
 
-def _interference(stats, floor_seconds: float) -> float:
-    if floor_seconds <= 0.0:
-        return 1.0
-    return stats.wall_time / floor_seconds
+def _same_bits(produced: np.ndarray, expected: np.ndarray) -> bool:
+    """Bitwise equality through integer views of the same bytes: no copies,
+    and unlike a float comparison it tells -0.0 from 0.0."""
+    bits = np.dtype(f"u{expected.dtype.itemsize}")
+    return produced.dtype == expected.dtype \
+        and np.array_equal(produced.view(bits), expected.view(bits))
 
 
 def run_cell(defn: KernelDef, platform: PlatformDescription, stream_mb: float,
@@ -251,30 +215,19 @@ def run_cell(defn: KernelDef, platform: PlatformDescription, stream_mb: float,
     device = resolve_config(platform, config)
     cell_seed = seed + 1009 * repeat_index
 
-    inputs = GeneratedSource(kernel.input_arrays, total_elements,
-                             seed=cell_seed).read_all()
-    inout_names = set(kernel.input_arrays) & set(kernel.transfer_outs)
+    def inputs():  # the same stream whatever the batch size
+        return GeneratedSource(kernel.input_arrays, total_elements, seed=cell_seed)
 
-    floor = ideal_seconds(kernel, platform, device, total_elements)
-    stats = sink = best = None
-    for _ in range(MEASUREMENT_ATTEMPTS):
-        attempt_sink = MemorySink()
-        source = _ArraySource(inputs, total_elements, copy_names=inout_names)
-        attempt_stats, _ = run_pipeline(source, kernel, platform, device,
-                                        UniformSchedule(chunk_elements),
-                                        batch_elements=batch_elements,
-                                        sink=attempt_sink, pace=pace)
-        phi = _interference(attempt_stats, floor)
-        if best is None or phi < best:
-            best, stats, sink = phi, attempt_stats, attempt_sink
-        if not pace or phi <= _INTERFERENCE_LIMIT:
-            break
+    sink = MemorySink()
+    stats, _ = run_pipeline(inputs(), kernel, platform, device,
+                            UniformSchedule(chunk_elements),
+                            batch_elements=batch_elements, sink=sink, pace=pace)
 
-    expected = evaluate_sequential(kernel, inputs, total_elements)
+    expected = evaluate_sequential(kernel, inputs().read_all(), total_elements)
     produced = sink.arrays()
     for name in kernel.output_arrays:
         if produced.get(name) is None \
-                or produced[name].tobytes() != expected[name].tobytes():
+                or not _same_bits(produced[name], expected[name]):
             raise VerificationError(
                 f"unverified result in cell kernel={defn.name} "
                 f"stream_mb={stream_mb} chunk_mb={chunk_mb} config={config} "

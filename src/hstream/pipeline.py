@@ -16,6 +16,7 @@ tuples.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import queue
 import threading
@@ -348,20 +349,69 @@ def _drain(q: queue.Queue, cancel: threading.Event) -> Iterator:
         yield item
 
 
-class _Stage(threading.Thread):
-    """A pipeline worker; the first exception cancels the whole run."""
+def _run_stage(body, args, downstream: Optional[queue.Queue],
+               cancel: threading.Event, errors: list[BaseException],
+               errors_lock: threading.Lock) -> None:
+    """Thread target for one stage: `body(*args)`, whose first exception
+    cancels the whole run; the stage's output queue always ends with the end
+    marker, so the next stage finishes too."""
+    try:
+        body(*args)
+    except BaseException as exc:
+        with errors_lock:
+            errors.append(exc)
+        cancel.set()
+    finally:
+        if downstream is not None:
+            _put(downstream, _DONE, cancel)
 
-    def __init__(self, name: str, cancel: threading.Event,
-                 errors: list[BaseException], lock: threading.Lock):
-        super().__init__(name=f"hstream-{name}", daemon=True)
-        self.cancel = cancel
-        self.errors = errors
-        self.errors_lock = lock
 
-    def fail(self, exc: BaseException) -> None:
-        with self.errors_lock:
-            self.errors.append(exc)
-        self.cancel.set()
+def _read_stage(batches: Iterator[Batch], to_process: queue.Queue,
+                trace: StageTrace, delays: StageDelays,
+                cancel: threading.Event) -> None:
+    begin = time.monotonic()
+    for batch in batches:
+        if delays.read:
+            time.sleep(delays.read)
+        trace.record(batch.seq, "read", begin, time.monotonic())
+        if cancel.is_set() or not _put(to_process, batch, cancel):
+            return
+        begin = time.monotonic()
+
+
+def _process_stage(step, to_process: queue.Queue, to_store: queue.Queue,
+                   trace: StageTrace, delays: StageDelays,
+                   cancel: threading.Event) -> None:
+    for batch in _drain(to_process, cancel):
+        begin = time.monotonic()
+        result = step(batch)
+        if delays.process:
+            time.sleep(delays.process)
+        trace.record(batch.seq, "process", begin, time.monotonic())
+        if not _put(to_store, result, cancel):
+            return
+
+
+class _RecordingSink:
+    """Times each write into the trace and keeps only (stats, length) per
+    batch, never the batch arrays."""
+
+    def __init__(self, sink, trace: StageTrace, delays: StageDelays,
+                 written: list[tuple[RunStats, int]]):
+        self.sink, self.trace, self.delays, self.written = sink, trace, delays, written
+
+    def write(self, batch: ProcessedBatch) -> None:
+        begin = time.monotonic()
+        self.sink.write(batch)
+        if self.delays.write:
+            time.sleep(self.delays.write)
+        self.trace.record(batch.seq, "write", begin, time.monotonic())
+        self.written.append((batch.stats, batch.length))
+
+
+def _write_stage(to_store: queue.Queue, sink: _RecordingSink,
+                 cancel: threading.Event) -> None:
+    store(_drain(to_store, cancel), sink)
 
 
 def run_pipeline(source: StreamSource, kernel: ExecutableKernel,
@@ -377,7 +427,9 @@ def run_pipeline(source: StreamSource, kernel: ExecutableKernel,
     """Run the full producer/processor/store pipeline over a stream.
 
     Returns aggregate run statistics (bytes follow the kernel's accounting
-    convention; wall time spans the whole pipeline) and the stage trace.
+    convention) and the stage trace. Unpaced, the wall time spans the whole
+    pipeline on the host; paced, it is the sum of the batches' modelled
+    makespans, since the processor runs one batch at a time.
     A batch size below 1 raises ValueError before any stage starts. Any stage
     error cancels the others and re-raises as PipelineError.
     """
@@ -395,73 +447,33 @@ def run_pipeline(source: StreamSource, kernel: ExecutableKernel,
     errors: list[BaseException] = []
     errors_lock = threading.Lock()
     written: list[tuple[RunStats, int]] = []
+    step = functools.partial(process, kernel=kernel, platform=platform,
+                             device=device, scheduling=scheduling, pace=pace)
 
-    class Reader(_Stage):
-        def run(self):
-            try:
-                begin = time.monotonic()
-                for batch in batches:
-                    if delays.read:
-                        time.sleep(delays.read)
-                    trace.record(batch.seq, "read", begin, time.monotonic())
-                    if self.cancel.is_set() \
-                            or not _put(to_process, batch, self.cancel):
-                        return
-                    begin = time.monotonic()
-            except BaseException as exc:
-                self.fail(exc)
-            finally:
-                _put(to_process, _DONE, self.cancel)
-
-    class Processor(_Stage):
-        def run(self):
-            try:
-                for batch in _drain(to_process, self.cancel):
-                    begin = time.monotonic()
-                    result = process(batch, kernel, platform, device,
-                                     scheduling, pace=pace)
-                    if delays.process:
-                        time.sleep(delays.process)
-                    trace.record(batch.seq, "process", begin, time.monotonic())
-                    if not _put(to_store, result, self.cancel):
-                        return
-            except BaseException as exc:
-                self.fail(exc)
-            finally:
-                _put(to_store, _DONE, self.cancel)
-
-    class RecordingSink:
-        """Times each write into the trace and keeps only (stats, length) per
-        batch, never the batch arrays."""
-
-        def write(self, batch: ProcessedBatch) -> None:
-            begin = time.monotonic()
-            sink.write(batch)
-            if delays.write:
-                time.sleep(delays.write)
-            trace.record(batch.seq, "write", begin, time.monotonic())
-            written.append((batch.stats, batch.length))
-
-    class Writer(_Stage):
-        def run(self):
-            try:
-                store(_drain(to_store, self.cancel), RecordingSink())
-            except BaseException as exc:
-                self.fail(exc)
-
+    stages = [
+        ("reader", _read_stage, (batches, to_process, trace, delays, cancel),
+         to_process),
+        ("processor", _process_stage,
+         (step, to_process, to_store, trace, delays, cancel), to_store),
+        ("writer", _write_stage,
+         (to_store, _RecordingSink(sink, trace, delays, written), cancel), None),
+    ]
+    threads = [threading.Thread(target=_run_stage, name=f"hstream-{name}",
+                                args=(body, args, downstream, cancel, errors,
+                                      errors_lock),
+                                daemon=True)
+               for name, body, args, downstream in stages]
     started = time.monotonic()
-    stages = [Reader("reader", cancel, errors, errors_lock),
-              Processor("processor", cancel, errors, errors_lock),
-              Writer("writer", cancel, errors, errors_lock)]
-    for s in stages:
-        s.start()
-    for s in stages:
-        s.join()
-    wall = time.monotonic() - started
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    host_wall = time.monotonic() - started
 
     if errors:
         first = errors[0]
         raise PipelineError(f"pipeline failed in flight: {first}") from first
 
+    wall = sum(stats.wall_time for stats, _ in written) if pace else host_wall
     bytes_moved = kernel.bytes_per_element * sum(n for _, n in written)
     return RunStats.aggregate([s for s, _ in written], wall, bytes_moved), trace

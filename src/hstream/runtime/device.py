@@ -7,10 +7,11 @@ buffers only, and results are copied back into the claimed host range.
 The cost model is `compute_seconds` (elements divided by speed) plus, on
 accelerators, `transfer_seconds` (seconds per MB moved); every charge and
 every analytic floor is computed from these two functions.
-`SIM_ELEMENTS_PER_SECOND` anchors speed_factor 1.0; at 8-byte
-elements that is 32 MiB/s, slow enough that paced multi-unit runs are
-dominated by the model rather than by per-chunk interpreter dispatch, which
-is serialized across controller threads.
+`SIM_ELEMENTS_PER_SECOND` anchors speed_factor 1.0 (32 MiB/s at 8-byte
+elements); against the per-MB transfer costs it sets how compute and copies
+weigh in an accelerator's charge. The executor adds each charge to the
+unit's virtual clock and never sleeps it, so modelled seconds do not depend
+on how fast the host evaluates a chunk.
 """
 
 from __future__ import annotations
@@ -81,16 +82,13 @@ def run_on_accelerator(dev: SimulatedDevice, kernel: ExecutableKernel,
             f"device memory is {dev.pu.memory_gb} GB")
 
     buffers = dev.device_buffers
-    sizes = kernel.element_sizes
     for name in kernel.array_names:
         buffers[name] = np.empty(length, dtype=kernel.numpy_dtypes[name])
     if phase_hook:
         phase_hook("allocated")
 
-    bytes_moved = 0
     for name in kernel.transfer_ins:
         buffers[name][:] = host_data[name][chunk.start:chunk.finish]
-        bytes_moved += sizes[name] * length
     if phase_hook:
         phase_hook("copied_in")
 
@@ -100,9 +98,9 @@ def run_on_accelerator(dev: SimulatedDevice, kernel: ExecutableKernel,
 
     for name in kernel.transfer_outs:
         host_data[name][chunk.start:chunk.finish] = buffers[name]
-        bytes_moved += sizes[name] * length
     if phase_hook:
         phase_hook("copied_out")
 
     dev.device_buffers.clear()
-    return transfer_seconds(dev.pu, bytes_moved) + compute_seconds(dev.pu, length)
+    return (transfer_seconds(dev.pu, kernel.transfer_bytes_per_element * length)
+            + compute_seconds(dev.pu, length))

@@ -1,24 +1,24 @@
-"""Workload distribution across processing units.
+"""Workload distribution across processing units, on a virtual clock.
 
-One controller thread per engaged unit; each loops claiming chunks from the
-shared cursor under mutual exclusion and dispatches by unit kind: accelerators
-(gpu/mic) go through the explicit copy-in/evaluate/copy-out path, the cpu
-evaluates host memory in place. Controllers run until the cursor is
-exhausted; the first controller error cancels the others at their next claim.
+Each engaged unit claims chunks from the shared cursor and dispatches by unit
+kind: accelerators (gpu/mic) go through the explicit copy-in/evaluate/copy-out
+path, the cpu evaluates host memory in place. Every chunk is evaluated for
+real and charged its modelled cost.
 
-Host arrays are partitioned by chunk: disjoint claims mean concurrent writers
-never overlap, so element writes need no locking. `execute` returns only
-after every controller has been joined; statistics are aggregated after the
-join, never concurrently.
+One discrete-event loop plays all units. A unit never waits for another, so
+its virtual clock is its accumulated charge (`PuStats.busy_time`); the unit
+with the earliest clock claims next, ties going to the earlier unit in
+resolved order. This is the order in which per-unit controllers running at
+the configured speeds would claim, and it makes chunk assignment
+deterministic. The first chunk error propagates at once.
 
-With ``pace=True`` each controller sleeps its accumulated simulated charge
-(in >= 2 ms quanta), so wall-clock time and therefore measured throughput
-follow the configured device speeds rather than interpreter speed.
+With ``pace=True`` the reported wall time is the makespan, the latest unit's
+clock, so measured throughput follows the configured device speeds rather
+than interpreter speed; without it, the wall time is the host's.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
@@ -49,17 +49,6 @@ from hstream.runtime.kernel import ExecutableKernel
 AUTO_TARGET_CLAIMS = 16
 AUTO_MIN_BYTES = 2**20
 AUTO_MAX_BYTES = 64 * 2**20
-
-# Paced controllers run against a per-controller deadline clock: each chunk
-# advances the deadline by its charge, and the controller sleeps only up to
-# the deadline. Oversleep therefore self-corrects at the next claim instead of
-# compounding over hundreds of chunks, so wall time tracks the summed charges
-# and claim rates track the configured speeds. Sleeps below the floor are
-# deferred (the deadline carries them) to amortize syscalls for tiny chunks;
-# scheduler stalls are caught up within the leash, beyond which the clock
-# forgives the debt rather than claim-bursting far past the configured rate.
-_PACE_FLOOR_S = 0.0002
-_PACE_LEASH_S = 0.040
 
 
 @dataclass
@@ -111,7 +100,7 @@ def chunk_size_for(pu: ProcessingUnit, spec: SchedulingSpec, total: int,
     """Chunk size in elements for one unit under a scheduling choice.
 
     Uniform applies one size to every unit; per-device looks the unit up (a
-    missing entry is a configuration error, raised before any thread starts);
+    missing entry is a configuration error, raised before any chunk is claimed);
     AUTO splits the total proportionally to configured speeds, targeting
     AUTO_TARGET_CLAIMS claims per unit, clamped to [1 MB, 64 MB] worth of
     elements.
@@ -153,48 +142,6 @@ def _validate_host_data(kernel: ExecutableKernel,
     return lengths.pop() if lengths else 0
 
 
-class _Controller:
-    def __init__(self, pu: ProcessingUnit, kernel: ExecutableKernel,
-                 host_data: Mapping[str, np.ndarray], cursor: SharedCursor,
-                 chunk_size: int, pace: bool,
-                 cancel: threading.Event):
-        self.pu = pu
-        self.kernel = kernel
-        self.host_data = host_data
-        self.cursor = cursor
-        self.chunk_size = chunk_size
-        self.pace = pace
-        self.cancel = cancel
-        self.stats = PuStats(pu.id)
-        self.error: Optional[BaseException] = None
-        self.device = None if pu.kind is PuKind.CPU else SimulatedDevice(pu)
-
-    def run(self) -> None:
-        deadline = time.monotonic()
-        try:
-            while not self.cancel.is_set():
-                chunk = self.cursor.claim(self.chunk_size, tag=self.pu.id)
-                if chunk is None:
-                    break
-                if self.device is None:
-                    run_on_cpu(self.kernel, self.host_data, chunk)
-                    charged = compute_seconds(self.pu, len(chunk))
-                else:
-                    charged = run_on_accelerator(
-                        self.device, self.kernel, self.host_data, chunk)
-                self.stats.chunks_claimed += 1
-                self.stats.elements_processed += len(chunk)
-                self.stats.busy_time += charged
-                if self.pace:
-                    deadline = max(deadline, time.monotonic() - _PACE_LEASH_S) + charged
-                    remaining = deadline - time.monotonic()
-                    if remaining >= _PACE_FLOOR_S:
-                        time.sleep(remaining)
-        except BaseException as exc:  # first error wins, others cancel
-            self.error = exc
-            self.cancel.set()
-
-
 def execute(kernel: ExecutableKernel, host_data: Mapping[str, np.ndarray],
             platform: PlatformDescription,
             device: DeviceSelector = ALL_DEVICES,
@@ -202,10 +149,10 @@ def execute(kernel: ExecutableKernel, host_data: Mapping[str, np.ndarray],
             *, pace: bool = False, record_claims: bool = False) -> RunStats:
     """Distribute the kernel's index space across the selected units.
 
-    On return the host arrays equal the sequential reference evaluation;
-    chunk assignment varies with thread interleaving but results do not.
-    Configuration problems (unknown devices, incomplete per-device scheduling)
-    raise before any controller thread starts.
+    On return the host arrays equal the sequential reference evaluation, and
+    the same inputs always give the same chunk assignment. Configuration
+    problems (unknown devices, incomplete per-device scheduling) raise before
+    any chunk is claimed.
     """
     pus = resolve_devices(platform, device)
     total = _validate_host_data(kernel, host_data)
@@ -214,33 +161,33 @@ def execute(kernel: ExecutableKernel, host_data: Mapping[str, np.ndarray],
                               element_size=kernel.max_element_size)
         for pu in pus
     }
-
+    devices = {pu.id: SimulatedDevice(pu) for pu in pus if pu.kind is not PuKind.CPU}
+    per_pu = {pu.id: PuStats(pu.id) for pu in pus}
     cursor = SharedCursor(total, record_claims=record_claims)
-    cancel = threading.Event()
-    controllers = [
-        _Controller(pu, kernel, host_data, cursor, chunk_sizes[pu.id],
-                    pace=pace, cancel=cancel)
-        for pu in pus
-    ]
 
     started = time.monotonic()
-    threads = [threading.Thread(target=c.run, name=f"hstream-pu{c.pu.id}")
-               for c in controllers]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    wall = time.monotonic() - started
+    while True:
+        pu = min(pus, key=lambda p: per_pu[p.id].busy_time)
+        chunk = cursor.claim(chunk_sizes[pu.id], tag=pu.id)
+        if chunk is None:
+            break
+        if pu.kind is PuKind.CPU:
+            run_on_cpu(kernel, host_data, chunk)
+            charged = compute_seconds(pu, len(chunk))
+        else:
+            charged = run_on_accelerator(devices[pu.id], kernel, host_data, chunk)
+        stats = per_pu[pu.id]
+        stats.chunks_claimed += 1
+        stats.elements_processed += len(chunk)
+        stats.busy_time += charged
+    host_wall = time.monotonic() - started
 
-    for c in controllers:
-        if c.error is not None:
-            raise c.error
-
-    per_pu = {c.pu.id: c.stats for c in controllers}
     processed = sum(s.elements_processed for s in per_pu.values())
     if processed != total:
         raise RuntimeError(
             f"claim accounting is broken: processed {processed} of {total}")
+
+    wall = max(s.busy_time for s in per_pu.values()) if pace else host_wall
 
     return RunStats(per_pu=per_pu, wall_time=wall,
                     bytes_moved=kernel.bytes_per_element * total,

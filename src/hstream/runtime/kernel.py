@@ -101,6 +101,8 @@ class ExecutableKernel:
     buffer_bytes_per_element: int = field(init=False, repr=False)
     # widest element, which sizes byte-denominated batches and chunks
     max_element_size: int = field(init=False, repr=False)
+    # bytes one element moves to and from an accelerator (ins plus outs)
+    transfer_bytes_per_element: int = field(init=False, repr=False)
 
     def __post_init__(self):
         seen: list[str] = []
@@ -113,6 +115,8 @@ class ExecutableKernel:
                              for n in seen}
         self.buffer_bytes_per_element = sum(self.element_sizes.values())
         self.max_element_size = max(self.element_sizes.values(), default=8)
+        self.transfer_bytes_per_element = sum(
+            self.element_sizes[n] for n in (*self.transfer_ins, *self.transfer_outs))
 
     @classmethod
     def from_kernel_spec(cls, spec: KernelSpec,

@@ -24,7 +24,7 @@ from hstream.bench import (
     summarize,
 )
 from hstream.errors import ResolveError, VerificationError
-from hstream.ir import DeviceIds, UniformSchedule
+from hstream.ir import DeviceIds, PerDeviceSchedule, UniformSchedule
 from hstream.pdl import parse_pdl
 from hstream.runtime import evaluate_sequential, execute
 from tests.conftest import DISA_PDL, PROGRAMS
@@ -170,6 +170,24 @@ def test_unverified_run_aborts_with_cell_diagnostic(monkeypatch):
                  seed=1, batch_mb=None, pace=False)
 
 
+def test_sign_of_zero_fails_verification(monkeypatch):
+    # FILL with scalar 0.0 writes +0.0; a reference of -0.0 is equal as floats
+    # but not bit for bit
+    import hstream.bench as bench_mod
+
+    def zero_fill(defn, scalar=SCALAR, chunk_elements=4096):
+        return build_kernel(defn, scalar=0.0, chunk_elements=chunk_elements)
+
+    def negative_zeros(kernel, inputs, length=None):
+        return {name: np.full(length, -0.0) for name in kernel.output_arrays}
+
+    monkeypatch.setattr(bench_mod, "build_kernel", zero_fill)
+    monkeypatch.setattr(bench_mod, "evaluate_sequential", negative_zeros)
+    with pytest.raises(VerificationError, match="kernel=FILL"):
+        run_cell(kernel_def("FILL"), small_platform(), 0.25, 0.05, "CPU+1GPU",
+                 0, seed=1, batch_mb=None, pace=False)
+
+
 def test_heterogeneous_beats_cpu_only():
     # simulated service rates are additive, so widening the device set beyond
     # the host CPU raises throughput by construction; the tighter
@@ -220,6 +238,44 @@ def test_one_chunk_charge_equals_analytic_floor(unit):
     assert stats.per_pu[unit].chunks_claimed == 1
     assert stats.per_pu[unit].busy_time == pytest.approx(
         ideal_seconds(kernel, platform, device, n))
+
+
+@pytest.mark.parametrize("config", ["CPU", "1GPU", "4GPUs", "CPU+4GPUs"])
+@pytest.mark.parametrize("chunk", [1000, 4096, 30_000])
+def test_paced_wall_never_below_analytic_floor(config, chunk):
+    # the floor has every unit busy to the end; float sums of per-chunk
+    # charges may round below it by a few ulps, hence the 1e-9 relative slack
+    platform = parse_pdl(DISA_PDL)
+    _, kernel = build_kernel(kernel_def("TRIAD"))
+    n = 100_000
+    host = {"a": np.zeros(n), "b": np.ones(n), "c": np.ones(n)}
+    device = resolve_config(platform, config)
+    stats = execute(kernel, host, platform, device, UniformSchedule(chunk),
+                    pace=True)
+    assert stats.wall_time >= ideal_seconds(kernel, platform, device, n) * (1 - 1e-9)
+
+
+def test_criterion_7_gate_fails_a_bad_policy():
+    # criterion 7 asks CPU+4GPUs for >= 98% of the best single configuration;
+    # with the CPU claiming half the stream as one chunk, the GPUs finish
+    # long before it does and the gate must fail
+    platform = parse_pdl(DISA_PDL)
+    _, kernel = build_kernel(kernel_def("TRIAD"))
+    n = 2**20
+    chunk = n // 256
+
+    def mb_s(config, scheduling):
+        host = {"a": np.zeros(n), "b": np.ones(n), "c": np.ones(n)}
+        return execute(kernel, host, platform, resolve_config(platform, config),
+                       scheduling, pace=True).throughput_mb_s
+
+    best_single = max(mb_s("CPU", UniformSchedule(chunk)),
+                      mb_s("4GPUs", UniformSchedule(chunk)))
+    good = mb_s("CPU+4GPUs", UniformSchedule(chunk))
+    bad = mb_s("CPU+4GPUs", PerDeviceSchedule(
+        ((0, n // 2), (1, chunk), (2, chunk), (3, chunk), (4, chunk))))
+    assert good >= 0.98 * best_single
+    assert bad < 0.98 * best_single
 
 
 # --- summaries ---------------------------------------------------------------------

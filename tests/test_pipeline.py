@@ -1,6 +1,8 @@
 """Streaming pipeline: batching, ordering, overlap, back-pressure, errors."""
 
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -171,6 +173,39 @@ def test_pipeline_end_to_end_equals_sequential():
     assert stats.total_elements == n
     assert stats.bytes_moved == kern.bytes_per_element * n
     assert trace.stage_ordering_ok()
+
+
+def test_paced_pipeline_wall_sums_batch_makespans():
+    platform = parse_pdl(SMALL_PLATFORM)
+    kern = triad_kernel()
+    sink = MemorySink()
+    stats, _ = run_pipeline(
+        GeneratedSource(kern.input_arrays, 10_000, seed=2), kern, platform,
+        scheduling=UniformSchedule(500), batch_elements=3000, sink=sink,
+        pace=True)
+    makespans = [max(s.busy_time for s in b.stats.per_pu.values())
+                 for b in sink.batches]
+    assert len(makespans) == 4
+    assert stats.wall_time == pytest.approx(sum(makespans))
+
+
+def test_pipeline_frees_its_sink_and_source_on_return():
+    # with the cyclic collector off, only reference counting can free them:
+    # the stages must leave no reference cycle holding the caller's objects
+    platform = parse_pdl(SMALL_PLATFORM)
+    kern = triad_kernel()
+    gc.collect()
+    gc.disable()
+    try:
+        sink = MemorySink()
+        source = GeneratedSource(kern.input_arrays, 2**16, seed=1)
+        probes = [weakref.ref(sink), weakref.ref(source)]
+        run_pipeline(source, kern, platform, scheduling=UniformSchedule(4096),
+                     batch_elements=2**14, sink=sink)
+        del sink, source
+        assert [probe() for probe in probes] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_pipeline_overlaps_write_with_next_process():

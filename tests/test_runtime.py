@@ -363,13 +363,15 @@ def test_execute_oom_propagates():
                 scheduling=UniformSchedule(n))
 
 
-def test_first_controller_error_cancels_run():
+def test_first_chunk_error_propagates():
     platform = make_platform()
     kern = triad()
     boom = RuntimeError("injected failure")
     original = kern.statements
+    calls = []
 
     def exploding(env):
+        calls.append(1)
         raise boom
 
     kern.statements = ((original[0][0], exploding),)
@@ -377,6 +379,27 @@ def test_first_controller_error_cancels_run():
     host = {"a": np.zeros(n), "b": np.ones(n), "c": np.ones(n)}
     with pytest.raises(RuntimeError, match="injected failure"):
         execute(kern, host, platform, scheduling=UniformSchedule(64))
+    assert len(calls) == 1  # no chunk is evaluated after the failing one
+
+
+def test_paced_execute_is_deterministic_and_reports_the_makespan():
+    # the virtual clock orders claims, so two runs agree claim for claim
+    platform = make_platform()
+    kern = triad()
+    n = 100_000
+    rng = np.random.default_rng(5)
+    b, c = rng.random(n), rng.random(n)
+    runs = []
+    for _ in range(2):
+        host = {"a": np.zeros(n), "b": b.copy(), "c": c.copy()}
+        runs.append(execute(kern, host, platform, scheduling=UniformSchedule(1000),
+                            pace=True, record_claims=True))
+    first, second = runs
+    assert first.claim_log == second.claim_log
+    assert first.per_pu == second.per_pu
+    assert first.wall_time == second.wall_time
+    assert first.wall_time == max(s.busy_time for s in first.per_pu.values())
+    assert len({r.tag for r in first.claim_log}) == 5  # every unit took part
 
 
 def test_int_kernel_c_division_semantics():
