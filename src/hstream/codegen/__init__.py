@@ -6,7 +6,6 @@ from hstream.codegen.emit import (
     EmittedUnit,
     TargetKind,
     cuda_params,
-    expr_to_c,
     gen_cuda,
     gen_driver,
     gen_leo,
@@ -24,7 +23,6 @@ __all__ = [
     "TargetKind",
     "TemplateGroup",
     "cuda_params",
-    "expr_to_c",
     "gen_cuda",
     "gen_driver",
     "gen_leo",

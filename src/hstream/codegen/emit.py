@@ -19,13 +19,9 @@ from hstream.codegen.templates import load_group
 from hstream.ir import (
     AllDevices,
     AutoSchedule,
-    BinOp,
-    Expr,
     KernelSpec,
-    Neg,
-    Num,
     UniformSchedule,
-    Var,
+    format_expr,
 )
 from hstream.pdl import PlatformDescription
 
@@ -57,49 +53,21 @@ class EmittedUnit:
     symbols: dict[str, str]
 
 
-# --- Expression printing ------------------------------------------------------
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
-def expr_to_c(expr: Expr, indexed_names: frozenset[str], index_symbol: str) -> str:
-    """Render an expression; names in `indexed_names` get `[index_symbol]`."""
-    if isinstance(expr, Num):
-        return repr(expr.value)
-    if isinstance(expr, Var):
-        if expr.name in indexed_names:
-            return f"{expr.name}[{index_symbol}]"
-        return expr.name
-    if isinstance(expr, Neg):
-        inner = expr_to_c(expr.operand, indexed_names, index_symbol)
-        if isinstance(expr.operand, BinOp):
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(expr, BinOp):
-        prec = _PRECEDENCE[expr.op]
-        left = expr_to_c(expr.left, indexed_names, index_symbol)
-        right = expr_to_c(expr.right, indexed_names, index_symbol)
-        if isinstance(expr.left, BinOp) and _PRECEDENCE[expr.left.op] < prec:
-            left = f"({left})"
-        if isinstance(expr.right, BinOp) and (
-            _PRECEDENCE[expr.right.op] < prec
-            or (_PRECEDENCE[expr.right.op] == prec and expr.op in "-/")
-        ):
-            right = f"({right})"
-        return f"{left}{expr.op}{right}"
-    raise TypeError(f"not an expression: {expr!r}")
-
-
 def _body_lines(kernel: KernelSpec, index_symbol: str) -> str:
+    # A block-local shadows a clause array of the same name.
     indexed = frozenset(
         v.name for v in (*kernel.ins, *kernel.outs) if v.is_elementwise
-    )
+    ) - kernel.local_names
+
+    def name(n: str) -> str:
+        return f"{n}[{index_symbol}]" if n in indexed else n
+
     lines = [f"{v.element_type.c_name} {v.name};" for v in kernel.locals_]
     for stmt in kernel.body:
         target = stmt.target.name
         if stmt.target.is_elementwise:
             target = f"{target}[{index_symbol}]"
-        lines.append(f"{target} = {expr_to_c(stmt.expr, indexed, index_symbol)};")
+        lines.append(f"{target} = {format_expr(stmt.expr, name)};")
     return "\n".join(lines)
 
 

@@ -72,7 +72,7 @@ class ResolveError(Exception):
 
 
 class ConfigurationError(Exception):
-    """Invalid run configuration detected before any worker thread starts."""
+    """Invalid run configuration detected before any chunk is claimed."""
 
 
 class DeviceMemoryError(RuntimeError):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
-from hstream.frontend.ast import Program, format_expr, format_program
+from hstream.frontend.ast import Program, format_program
 from hstream.frontend.lexer import Token, TokenKind, lex
 from hstream.frontend.parser import parse, parse_source
 from hstream.frontend.semantics import check
@@ -21,7 +21,6 @@ __all__ = [
     "check",
     "compile_source",
     "compile_file",
-    "format_expr",
     "format_program",
     "lex",
     "parse",

@@ -12,16 +12,13 @@ from typing import Optional, Union
 from hstream.ir import (
     AllDevices,
     AutoSchedule,
-    BinOp,
     DeviceSelector,
     ElementType,
     Expr,
-    Neg,
-    Num,
     SchedulingSpec,
     UniformSchedule,
-    Var,
     VarKind,
+    format_expr,
 )
 
 
@@ -123,35 +120,6 @@ class Program:
 
 
 # --- Pretty printer ----------------------------------------------------------
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
-def format_expr(expr: Expr) -> str:
-    """Canonical expression text: tight binary operators, minimal parentheses."""
-    if isinstance(expr, Num):
-        return repr(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Neg):
-        inner = format_expr(expr.operand)
-        if isinstance(expr.operand, BinOp):
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(expr, BinOp):
-        prec = _PRECEDENCE[expr.op]
-        left = format_expr(expr.left)
-        right = format_expr(expr.right)
-        if isinstance(expr.left, BinOp) and _PRECEDENCE[expr.left.op] < prec:
-            left = f"({left})"
-        if isinstance(expr.right, (BinOp, Neg)):
-            rp = _PRECEDENCE[expr.right.op] if isinstance(expr.right, BinOp) else 3
-            # - and / do not associate to the right
-            if rp < prec or (rp == prec and expr.op in "-/"):
-                right = f"({right})"
-        return f"{left}{expr.op}{right}"
-    raise TypeError(f"not an expression: {expr!r}")
-
 
 def _format_declaration(d: Declaration) -> str:
     if d.kind is VarKind.STREAM:

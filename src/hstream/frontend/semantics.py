@@ -33,7 +33,6 @@ from hstream.frontend.ast import (
 from hstream.ir import (
     ALL_DEVICES,
     AutoSchedule,
-    BinOp,
     BoundVar,
     ElementAssign,
     ElementType,
@@ -43,6 +42,7 @@ from hstream.ir import (
     Num,
     Var,
     VarKind,
+    expr_vars,
 )
 
 
@@ -156,11 +156,11 @@ class _Checker:
 
     def check_plain_assignment(self, stmt: Assignment) -> None:
         decl = self.resolve(stmt.target, stmt.line, stmt.col)
-        for name, line, col, ref in _expr_vars(stmt.expr):
-            d = self.resolve(name, line, col)
+        for var in expr_vars(stmt.expr):
+            d = self.resolve(var.name, var.line, var.col)
             if d is not None and d.kind.is_elementwise:
-                self.diag(line, col, errors.TYPE_MISMATCH,
-                          f"{d.kind.value} '{name}' cannot be used in a plain "
+                self.diag(var.line, var.col, errors.TYPE_MISMATCH,
+                          f"{d.kind.value} '{var.name}' cannot be used in a plain "
                           f"statement; elementwise access is only available "
                           f"inside a directive body")
         if decl is None:
@@ -245,13 +245,13 @@ class _Checker:
                 local_vars.append(BoundVar(stmt.name, VarKind.SCALAR, stmt.element_type))
                 continue
 
-            for vname, vline, vcol, _ in _expr_vars(stmt.expr):
-                if vname in scope.symbols:
+            for var in expr_vars(stmt.expr):
+                if var.name in scope.symbols:
                     continue
-                decl = self.resolve(vname, vline, vcol, scope)
-                if decl is not None and vname not in in_names:
-                    self.diag(vline, vcol, errors.NOT_IN_CLAUSE,
-                              f"'{vname}' is read by the body but does not appear "
+                decl = self.resolve(var.name, var.line, var.col, scope)
+                if decl is not None and var.name not in in_names:
+                    self.diag(var.line, var.col, errors.NOT_IN_CLAUSE,
+                              f"'{var.name}' is read by the body but does not appear "
                               f"in an in or inout clause")
 
             tdecl = self.resolve(stmt.target, stmt.line, stmt.col, scope)
@@ -300,23 +300,6 @@ def _dedup(vars_: list[BoundVar]) -> list[BoundVar]:
             seen.add(v.name)
             out.append(v)
     return out
-
-
-def _expr_vars(expr: Expr) -> list[tuple[str, int, int, Var]]:
-    """All variable occurrences in an expression with their positions."""
-    found: list[tuple[str, int, int, Var]] = []
-
-    def walk(e: Expr) -> None:
-        if isinstance(e, Var):
-            found.append((e.name, e.line, e.col, e))
-        elif isinstance(e, Neg):
-            walk(e.operand)
-        elif isinstance(e, BinOp):
-            walk(e.left)
-            walk(e.right)
-
-    walk(expr)
-    return found
 
 
 def check(program: Program, unit_name: str = "Kernel") -> list[KernelSpec]:

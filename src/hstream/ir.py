@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 import numpy as np
 
@@ -90,22 +90,58 @@ class BinOp:
 Expr = Union[Num, Var, Neg, BinOp]
 
 
-def expr_var_names(expr: Expr) -> list[str]:
-    """Variable names referenced by an expression, in first-occurrence order."""
-    out: list[str] = []
+def expr_vars(expr: Expr) -> list[Var]:
+    """Every variable occurrence in an expression, from left to right."""
+    if isinstance(expr, Var):
+        return [expr]
+    if isinstance(expr, Neg):
+        return expr_vars(expr.operand)
+    if isinstance(expr, BinOp):
+        return expr_vars(expr.left) + expr_vars(expr.right)
+    return []
 
-    def walk(e: Expr) -> None:
-        if isinstance(e, Var):
-            if e.name not in out:
-                out.append(e.name)
-        elif isinstance(e, Neg):
-            walk(e.operand)
-        elif isinstance(e, BinOp):
-            walk(e.left)
-            walk(e.right)
 
-    walk(expr)
-    return out
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
+def _format_num(value: Union[int, float]) -> str:
+    text = repr(value)
+    # The lexer reads a float only with a point: 1e-05 is printed 1.0e-05.
+    if "e" in text and "." not in text:
+        mantissa, exponent = text.split("e")
+        text = f"{mantissa}.0e{exponent}"
+    return text
+
+
+def format_expr(expr: Expr, name: Callable[[str], str] = str) -> str:
+    """Expression text, for the source printer and every target alike.
+
+    `name` renders a variable (codegen appends its index). The text re-parses
+    to the same tree and C evaluates it in the same order: a right operand of
+    equal or lower precedence keeps its parentheses, since floating-point
+    + and * do not associate, and text after a - never begins with -, so no
+    -- (a C decrement) is printed.
+    """
+    if isinstance(expr, Num):
+        return _format_num(expr.value)
+    if isinstance(expr, Var):
+        return name(expr.name)
+    if isinstance(expr, Neg):
+        inner = format_expr(expr.operand, name)
+        if isinstance(expr.operand, BinOp) or inner.startswith("-"):
+            inner = f"({inner})"
+        return f"-{inner}"
+    if isinstance(expr, BinOp):
+        prec = _PRECEDENCE[expr.op]
+        left = format_expr(expr.left, name)
+        right = format_expr(expr.right, name)
+        if isinstance(expr.left, BinOp) and _PRECEDENCE[expr.left.op] < prec:
+            left = f"({left})"
+        if (isinstance(expr.right, BinOp) and _PRECEDENCE[expr.right.op] <= prec) \
+                or (expr.op == "-" and right.startswith("-")):
+            right = f"({right})"
+        return f"{left}{expr.op}{right}"
+    raise TypeError(f"not an expression: {expr!r}")
 
 
 # --- Device selection and scheduling ----------------------------------------
@@ -207,10 +243,10 @@ class KernelSpec:
         """Non-local variables read by the body, in first-use order."""
         seen: list[BoundVar] = []
         for stmt in self.body:
-            for name in expr_var_names(stmt.expr):
-                if name in self.local_names:
+            for var in expr_vars(stmt.expr):
+                if var.name in self.local_names:
                     continue
-                v = self.binding(name)
+                v = self.binding(var.name)
                 if v not in seen:
                     seen.append(v)
         return tuple(seen)

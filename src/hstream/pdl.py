@@ -248,7 +248,7 @@ def parse_pdl(text: str) -> PlatformDescription:
         elif not any(pu.kind is PuKind.CPU for pu in pus):
             diags.append(Diagnostic(root.line, root.col, errors.PDL_NO_CPU,
                                     "platform must contain at least one cpu unit "
-                                    "(controller threads run on the host)"))
+                                    "(the host program and its driver run on it)"))
     if diags:
         raise PdlError(diags)
     return PlatformDescription(name=name, pus=tuple(pus))

@@ -1,5 +1,8 @@
 """Command-line behavior: subcommands, exit codes, diagnostics routing."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -218,6 +221,25 @@ def test_bench_raw_rows(tmp_path, pdl_file, capsys):
                   "configs=CPU;repeats=2")
     assert code == 0
     assert len(raw.read_text().strip().splitlines()) == 3  # header + 2 rows
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_written_files_follow_the_umask(tmp_path, pdl_file, capsys, umask, mode):
+    out_dir = tmp_path / "gen"
+    out, raw = tmp_path / "r.csv", tmp_path / "raw.csv"
+    old = os.umask(umask)
+    try:
+        assert run_cli(capsys, "compile", TRIAD, "--pdl", pdl_file,
+                       "--out-dir", out_dir)[0] == 0
+        assert run_cli(capsys, "bench", "--pdl", pdl_file, "--out", out,
+                       "--raw-out", raw, "--plan",
+                       "kernels=COPY;streams_mb=0.25;chunks_mb=0.05;"
+                       "configs=CPU;repeats=1")[0] == 0
+    finally:
+        os.umask(old)
+    for path in (*out_dir.iterdir(), out, raw):
+        assert stat.S_IMODE(path.stat().st_mode) == mode, path.name
 
 
 def test_bench_unknown_plan_key(tmp_path, pdl_file, capsys):

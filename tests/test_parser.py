@@ -1,10 +1,13 @@
 """Parser shape: clause parsing, directive structure, round-trip stability."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hstream import errors
+from hstream.codegen import gen_cuda, gen_leo, gen_openmp
 from hstream.errors import CompileError
-from hstream.frontend import format_program, parse_source
+from hstream.frontend import compile_source, format_program, parse_source
 from hstream.frontend.ast import (
     Assignment,
     Declaration,
@@ -12,16 +15,21 @@ from hstream.frontend.ast import (
     DirectiveNode,
     InClause,
     OutClause,
+    Program,
     SchedulingClause,
     VarRef,
 )
 from hstream.ir import (
     AllDevices,
     AutoSchedule,
+    BinOp,
     DeviceIds,
     ElementType,
+    Neg,
+    Num,
     PerDeviceSchedule,
     UniformSchedule,
+    Var,
     VarKind,
 )
 from tests.conftest import PROGRAMS, TRIAD_SOURCE
@@ -143,11 +151,57 @@ def test_unknown_clause_rejected():
         parse_source("double a[4];\n#pragma hstream shared(a)\n{\n    a = 1.0;\n}\n")
 
 
-def test_expression_precedence_and_parens():
-    program = parse_source("double x;\nx = 1.0 + 2.0*3.0 - (4.0 - 5.0)/2.0;\n")
+# Pinned printer cases; tests/test_emitted_c.py also compiles each with gcc.
+PRECEDENCE_CASES = {
+    "mixed": ("1.0 + 2.0*3.0 - (4.0 - 5.0)/2.0", "1.0+2.0*3.0-(4.0-5.0)/2.0"),
+    "add-sub": ("b + (c - d)", "b+(c-d)"),
+    "mul-div": ("b * (c / d)", "b*(c/d)"),
+    "add-add": ("b + (c + d)", "b+(c+d)"),
+    "minus-neg": ("b - -c", "b-(-c)"),
+    "neg-neg": ("-(-b)", "-(-b)"),
+    "minus-neg-div": ("t - -1.5/a", "t-(-1.5/a)"),
+    "tiny-float": ("0.00001", "1.0e-05"),
+}
+
+
+@pytest.mark.parametrize("source,printed", PRECEDENCE_CASES.values(),
+                         ids=PRECEDENCE_CASES.keys())
+def test_expression_precedence_and_parens(source, printed):
+    program = parse_source(f"double x;\nx = {source};\n")
     text = format_program(program)
-    assert "x = 1.0+2.0*3.0-(4.0-5.0)/2.0;" in text
+    assert f"x = {printed};" in text
     assert parse_source(text) == program
+
+
+_NAMES = ("a", "b", "s")
+
+_exprs = st.recursive(
+    st.one_of(
+        st.integers(0, 2**31 - 1).map(lambda v: Num(v, ElementType.INT)),
+        st.floats(min_value=0.0, allow_infinity=False).map(
+            lambda v: Num(v, ElementType.DOUBLE)),
+        st.sampled_from(_NAMES).map(Var),
+    ),
+    lambda inner: st.one_of(
+        inner.map(Neg),
+        st.builds(BinOp, st.sampled_from("+-*/"), inner, inner),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs)
+def test_printed_expressions_reparse_and_never_print_a_decrement(expr):
+    program = Program((Assignment("a", expr),))
+    text = format_program(program)
+    assert parse_source(text) == program
+    source = ("double a[4];\ndouble b[4];\ndouble s;\n"
+              f"#pragma hstream in(a, b, s) out(a)\n{{\n    {text}}}\n")
+    kernel = compile_source(source).kernels[0]
+    assert kernel.body[0].expr == expr
+    for gen in (gen_openmp, gen_cuda, gen_leo):
+        assert "--" not in gen(kernel).text
 
 
 @pytest.mark.parametrize("path", sorted(PROGRAMS.glob("*.hs.c")),
