@@ -27,12 +27,7 @@ from hstream.frontend import compile_source
 from hstream.ir import DeviceIds, ElementType, KernelSpec, UniformSchedule
 from hstream.pdl import PlatformDescription, PuKind, resolve_devices
 from hstream.pipeline import GeneratedSource, MemorySink, run_pipeline
-from hstream.runtime import (
-    ExecutableKernel,
-    compute_seconds,
-    evaluate_sequential,
-    transfer_seconds,
-)
+from hstream.runtime import ExecutableKernel, charge_seconds, evaluate_sequential
 
 MB = 2**20
 DOUBLE_BYTES = ElementType.DOUBLE.size_bytes
@@ -186,12 +181,8 @@ def ideal_seconds(kernel: ExecutableKernel, platform: PlatformDescription,
                   device: DeviceIds, total_elements: int) -> float:
     """Lower-bound wall time: every unit serves elements at its modelled rate
     (compute plus, for accelerators, per-element transfer volume)."""
-    rate = 0.0
-    for pu in resolve_devices(platform, device):
-        per_element = compute_seconds(pu, 1)
-        if pu.kind is not PuKind.CPU:
-            per_element += transfer_seconds(pu, kernel.transfer_bytes_per_element)
-        rate += 1.0 / per_element
+    rate = sum(1.0 / charge_seconds(pu, kernel, 1)
+               for pu in resolve_devices(platform, device))
     return total_elements / rate
 
 
@@ -262,22 +253,17 @@ def run_experiment(plan: ExperimentPlan, platform: PlatformDescription,
     return rows
 
 
-def mean_throughputs(rows: Iterable[ResultRow]) -> dict[tuple, float]:
-    """Mean throughput per (kernel, stream_mb, chunk_mb, device_config)."""
-    acc: dict[tuple, list[float]] = {}
+def _throughputs_by(rows: Iterable[ResultRow], key) -> dict[tuple, list[float]]:
+    groups: dict[tuple, list[float]] = {}
     for row in rows:
-        key = (row.kernel, row.stream_mb, row.chunk_mb, row.device_config)
-        acc.setdefault(key, []).append(row.throughput_mb_s)
-    return {key: sum(v) / len(v) for key, v in acc.items()}
+        groups.setdefault(key(row), []).append(row.throughput_mb_s)
+    return groups
 
 
 def config_means(rows: Iterable[ResultRow]) -> dict[tuple[str, str], float]:
     """Mean throughput per (kernel, device_config) across all cells."""
-    acc: dict[tuple[str, str], list[float]] = {}
-    for row in rows:
-        acc.setdefault((row.kernel, row.device_config), []).append(
-            row.throughput_mb_s)
-    return {key: sum(v) / len(v) for key, v in acc.items()}
+    groups = _throughputs_by(rows, lambda r: (r.kernel, r.device_config))
+    return {key: sum(v) / len(v) for key, v in groups.items()}
 
 
 def summarize(rows: list[ResultRow]) -> str:
@@ -285,17 +271,13 @@ def summarize(rows: list[ResultRow]) -> str:
     (kernel, stream, chunk, config) tuple."""
     if not rows:
         raise ValueError("no result rows to summarize")
-    means = mean_throughputs(rows)
-    counts: dict[tuple, int] = {}
-    for row in rows:
-        key = (row.kernel, row.stream_mb, row.chunk_mb, row.device_config)
-        counts[key] = counts.get(key, 0) + 1
+    cells = _throughputs_by(
+        rows, lambda r: (r.kernel, r.stream_mb, r.chunk_mb, r.device_config))
     out = io.StringIO()
     out.write("kernel,stream_mb,chunk_mb,device_config,mean_throughput_mb_s,repeats\n")
-    for key in sorted(means):
-        kernel, stream_mb, chunk_mb, config = key
+    for (kernel, stream_mb, chunk_mb, config), v in sorted(cells.items()):
         out.write(f"{kernel},{_num(stream_mb)},{_num(chunk_mb)},{config},"
-                  f"{means[key]:.3f},{counts[key]}\n")
+                  f"{sum(v) / len(v):.3f},{len(v)}\n")
     return out.getvalue()
 
 

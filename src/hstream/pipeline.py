@@ -272,13 +272,9 @@ def process(batch: Batch, kernel: ExecutableKernel,
             scheduling: SchedulingSpec = AutoSchedule(),
             *, pace: bool = False) -> ProcessedBatch:
     """Run one batch's index space through the multi-unit executor."""
-    host: dict[str, np.ndarray] = {}
-    for name in kernel.input_arrays:
-        host[name] = np.asarray(batch.arrays[name])
-    for name in kernel.array_names:
-        if name not in host:
-            host[name] = np.zeros(
-                batch.length, dtype=kernel.array_types[name].numpy_dtype)
+    host = {name: np.asarray(batch.arrays[name]) if name in kernel.input_arrays
+            else np.zeros(batch.length, dtype=kernel.numpy_dtypes[name])
+            for name in kernel.array_names}
     stats = execute(kernel, host, platform, device, scheduling, pace=pace)
     outputs = {name: host[name] for name in kernel.output_arrays}
     return ProcessedBatch(seq=batch.seq, outputs=outputs,

@@ -1,9 +1,10 @@
 """Runtime: chunk claiming, simulated devices, and multi-unit execution."""
 
-from hstream.runtime.cursor import Chunk, ClaimRecord, SharedCursor
+from hstream.runtime.cursor import Chunk, SharedCursor
 from hstream.runtime.device import (
     SIM_ELEMENTS_PER_SECOND,
     SimulatedDevice,
+    charge_seconds,
     compute_seconds,
     run_on_accelerator,
     run_on_cpu,
@@ -17,6 +18,7 @@ from hstream.runtime.executor import (
     RunStats,
     chunk_size_for,
     execute,
+    plan,
 )
 from hstream.runtime.kernel import ExecutableKernel, compile_expr, evaluate_sequential
 
@@ -25,18 +27,19 @@ __all__ = [
     "AUTO_MIN_BYTES",
     "AUTO_TARGET_CLAIMS",
     "Chunk",
-    "ClaimRecord",
     "ExecutableKernel",
     "PuStats",
     "RunStats",
     "SIM_ELEMENTS_PER_SECOND",
     "SharedCursor",
     "SimulatedDevice",
+    "charge_seconds",
     "chunk_size_for",
     "compile_expr",
     "compute_seconds",
     "evaluate_sequential",
     "execute",
+    "plan",
     "run_on_accelerator",
     "run_on_cpu",
     "transfer_seconds",

@@ -27,30 +27,22 @@ class Chunk:
         return self.finish - self.start
 
 
-@dataclass(frozen=True)
-class ClaimRecord:
-    tag: Optional[int]  # claiming PU id, when provided
-    start: int
-    finish: int
-
-
 class SharedCursor:
-    """Monotone cursor over a total element count.
+    """Monotone cursor over a total element count."""
 
-    With ``record_claims=True`` every successful claim is logged in claim
-    order (the lock serializes them), which tests use to check the
-    disjoint-cover and monotonicity contracts.
-    """
-
-    def __init__(self, total: int, record_claims: bool = False):
+    def __init__(self, total: int):
         if total < 0:
             raise ValueError("total must be non-negative")
         self.total = total
         self._next = 0
         self._lock = threading.Lock()
-        self.claim_log: Optional[list[ClaimRecord]] = [] if record_claims else None
 
-    def claim(self, chunk_size: int, tag: Optional[int] = None) -> Optional[Chunk]:
+    @property
+    def remaining(self) -> int:
+        """Elements not yet claimed; other threads may claim some at once."""
+        return self.total - self._next
+
+    def claim(self, chunk_size: int) -> Optional[Chunk]:
         """Claim the next chunk of at most ``chunk_size`` elements.
 
         Returns None once the cursor is exhausted.
@@ -63,12 +55,4 @@ class SharedCursor:
             start = self._next
             finish = min(start + chunk_size, self.total)
             self._next = finish
-            if self.claim_log is not None:
-                self.claim_log.append(ClaimRecord(tag, start, finish))
         return Chunk(start, finish)
-
-    @property
-    def exhausted(self) -> bool:
-        with self._lock:
-            return self._next >= self.total
-

@@ -5,13 +5,13 @@ served by freshly allocated private buffers, the body evaluates against those
 buffers only, and results are copied back into the claimed host range.
 
 The cost model is `compute_seconds` (elements divided by speed) plus, on
-accelerators, `transfer_seconds` (seconds per MB moved); every charge and
-every analytic floor is computed from these two functions.
-`SIM_ELEMENTS_PER_SECOND` anchors speed_factor 1.0 (32 MiB/s at 8-byte
-elements); against the per-MB transfer costs it sets how compute and copies
-weigh in an accelerator's charge. The executor adds each charge to the
-unit's virtual clock and never sleeps it, so modelled seconds do not depend
-on how fast the host evaluates a chunk.
+accelerators, `transfer_seconds` (seconds per MB moved); `charge_seconds`
+adds them up for one chunk, and every charge and every analytic floor is
+computed from it. `SIM_ELEMENTS_PER_SECOND` anchors speed_factor 1.0
+(32 MiB/s at 8-byte elements); against the per-MB transfer costs it sets how
+compute and copies weigh in an accelerator's charge. The executor's planner
+adds each charge to the unit's virtual clock and never sleeps it, so
+modelled seconds do not depend on how fast the host evaluates a chunk.
 """
 
 from __future__ import annotations
@@ -22,13 +22,11 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from hstream.errors import DeviceMemoryError
-from hstream.pdl import ProcessingUnit
+from hstream.pdl import ProcessingUnit, PuKind
 from hstream.runtime.cursor import Chunk
 from hstream.runtime.kernel import ExecutableKernel
 
 SIM_ELEMENTS_PER_SECOND = 4_194_304
-
-PhaseHook = Callable[[str], None]
 
 
 def compute_seconds(pu: ProcessingUnit, elements: int) -> float:
@@ -39,6 +37,16 @@ def compute_seconds(pu: ProcessingUnit, elements: int) -> float:
 def transfer_seconds(pu: ProcessingUnit, bytes_moved: int) -> float:
     """Modelled time to move `bytes_moved` bytes between host and `pu`."""
     return pu.transfer_cost_per_mb * (bytes_moved / 2**20)
+
+
+def charge_seconds(pu: ProcessingUnit, kernel: ExecutableKernel,
+                   elements: int) -> float:
+    """Modelled time for `pu` to serve a chunk of `elements` elements: compute,
+    plus on accelerators the copies of the kernel's transfer arrays."""
+    seconds = compute_seconds(pu, elements)
+    if pu.kind is not PuKind.CPU:
+        seconds += transfer_seconds(pu, kernel.transfer_bytes_per_element * elements)
+    return seconds
 
 
 @dataclass
@@ -54,7 +62,7 @@ def run_on_cpu(kernel: ExecutableKernel, host_data: Mapping[str, np.ndarray],
     """Evaluate a chunk in place on host memory, in one vectorised pass.
 
     The host path needs no data movement. The configured CPU speed stands for
-    the whole unit, so the executor charges the chunk `compute_seconds`.
+    the whole unit, so the planner charges the chunk `compute_seconds`.
     """
     views = {name: host_data[name][chunk.start:chunk.finish]
              for name in kernel.array_names}
@@ -63,7 +71,7 @@ def run_on_cpu(kernel: ExecutableKernel, host_data: Mapping[str, np.ndarray],
 
 def run_on_accelerator(dev: SimulatedDevice, kernel: ExecutableKernel,
                        host_data: Mapping[str, np.ndarray], chunk: Chunk,
-                       phase_hook: Optional[PhaseHook] = None) -> float:
+                       phase_hook: Optional[Callable[[str], None]] = None) -> None:
     """Serve one chunk on a simulated accelerator.
 
     In order: capacity check, allocate private buffers, copy in the kernel's
@@ -102,5 +110,3 @@ def run_on_accelerator(dev: SimulatedDevice, kernel: ExecutableKernel,
         phase_hook("copied_out")
 
     dev.device_buffers.clear()
-    return (transfer_seconds(dev.pu, kernel.transfer_bytes_per_element * length)
-            + compute_seconds(dev.pu, length))

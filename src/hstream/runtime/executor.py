@@ -1,27 +1,26 @@
 """Workload distribution across processing units, on a virtual clock.
 
-Each engaged unit claims chunks from the shared cursor and dispatches by unit
-kind: accelerators (gpu/mic) go through the explicit copy-in/evaluate/copy-out
-path, the cpu evaluates host memory in place. Every chunk is evaluated for
-real and charged its modelled cost.
+`plan` is data-free: one discrete-event loop plays all engaged units. A unit
+never waits, so its virtual clock is its accumulated charge
+(`PuStats.busy_time`). Each claim goes to the unit that would finish its next
+chunk first (clock plus charge), ties to the earlier unit in resolved order:
+the earliest-finish-time rule of HEFT (Topcuoglu, Hariri and Wu, IEEE TPDS
+2002) and of StarPU's `dmda` scheduler. A slow unit thus declines a chunk it
+would still hold after the fast ones run dry; the same inputs give the same
+schedule.
 
-One discrete-event loop plays all units. A unit never waits for another, so
-its virtual clock is its accumulated charge (`PuStats.busy_time`); the unit
-with the earliest clock claims next, ties going to the earlier unit in
-resolved order. This is the order in which per-unit controllers running at
-the configured speeds would claim, and it makes chunk assignment
-deterministic. The first chunk error propagates at once.
-
-With ``pace=True`` the reported wall time is the makespan, the latest unit's
-clock, so measured throughput follows the configured device speeds rather
-than interpreter speed; without it, the wall time is the host's.
+`execute` evaluates the schedule's chunks for real, in claim order:
+accelerators (gpu/mic) through copy-in/evaluate/copy-out, the cpu in place.
+The first chunk error propagates at once. With ``pace=True`` the wall time is
+the makespan, so throughput follows the configured speeds, not interpreter
+speed; without it, the wall time is the host's.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -35,10 +34,10 @@ from hstream.ir import (
     UniformSchedule,
 )
 from hstream.pdl import PlatformDescription, ProcessingUnit, PuKind, resolve_devices
-from hstream.runtime.cursor import ClaimRecord, SharedCursor
+from hstream.runtime.cursor import Chunk, SharedCursor
 from hstream.runtime.device import (
     SimulatedDevice,
-    compute_seconds,
+    charge_seconds,
     run_on_accelerator,
     run_on_cpu,
 )
@@ -64,15 +63,10 @@ class RunStats:
     per_pu: dict[int, PuStats]
     wall_time: float
     bytes_moved: int
-    claim_log: Optional[list[ClaimRecord]] = field(default=None, repr=False)
 
     @property
     def total_elements(self) -> int:
         return sum(s.elements_processed for s in self.per_pu.values())
-
-    @property
-    def total_chunks(self) -> int:
-        return sum(s.chunks_claimed for s in self.per_pu.values())
 
     @property
     def throughput_mb_s(self) -> float:
@@ -130,11 +124,10 @@ def _validate_host_data(kernel: ExecutableKernel,
     for name in kernel.array_names:
         if name not in host_data:
             raise ConfigurationError(f"kernel '{kernel.name}' needs array '{name}'")
-        arr = host_data[name]
-        expected = kernel.array_types[name].numpy_dtype
-        if arr.dtype != np.dtype(expected):
+        arr, expected = host_data[name], kernel.numpy_dtypes[name]
+        if arr.dtype != expected:
             raise ConfigurationError(
-                f"array '{name}' must have dtype {np.dtype(expected)}, got {arr.dtype}")
+                f"array '{name}' must have dtype {expected}, got {arr.dtype}")
         lengths.add(len(arr))
     if len(lengths) > 1:
         raise ConfigurationError(
@@ -142,53 +135,88 @@ def _validate_host_data(kernel: ExecutableKernel,
     return lengths.pop() if lengths else 0
 
 
+class Claim(NamedTuple):
+    """One chunk of a schedule: who serves it, and when on the virtual clock."""
+
+    pu: ProcessingUnit
+    chunk: Chunk
+    begin: float
+    end: float
+
+
+@dataclass
+class Schedule:
+    """Engaged units in resolved order, claims in claim order, unit totals."""
+
+    units: list[ProcessingUnit]
+    claims: list[Claim]
+    per_pu: dict[int, PuStats]
+
+    @property
+    def makespan(self) -> float:
+        return max(s.busy_time for s in self.per_pu.values())
+
+
+def earliest_finish(clocks: Sequence[float], charges: Sequence[float]) -> int:
+    """Index of the unit whose next chunk would end first; ties to the lowest."""
+    best = 0
+    for i in range(1, len(clocks)):
+        if clocks[i] + charges[i] < clocks[best] + charges[best]:
+            best = i
+    return best
+
+
+def plan(kernel: ExecutableKernel, total: int, platform: PlatformDescription,
+         device: DeviceSelector = ALL_DEVICES,
+         scheduling: SchedulingSpec = AutoSchedule()) -> Schedule:
+    """The data-free schedule of `total` elements over the selected units;
+    configuration problems raise here, before any chunk is claimed."""
+    pus = resolve_devices(platform, device)
+    sizes = [chunk_size_for(pu, scheduling, total, engaged=pus,
+                            element_size=kernel.max_element_size) for pu in pus]
+    full = [charge_seconds(pu, kernel, size) for pu, size in zip(pus, sizes)]
+    largest = max(sizes)
+    clocks = [0.0] * len(pus)
+    counts = [0] * len(pus)
+    elements = [0] * len(pus)
+    claims: list[Claim] = []
+    cursor = SharedCursor(total)
+    while left := cursor.remaining:
+        # only a chunk cut short by the end of the stream costs less than full
+        charges = full if left >= largest else [
+            charge_seconds(pu, kernel, min(size, left)) for pu, size in zip(pus, sizes)]
+        i = earliest_finish(clocks, charges)
+        chunk = cursor.claim(sizes[i])
+        claims.append(Claim(pus[i], chunk, clocks[i], clocks[i] + charges[i]))
+        clocks[i] += charges[i]
+        counts[i] += 1
+        elements[i] += chunk.finish - chunk.start
+    per_pu = {pu.id: PuStats(pu.id, counts[i], elements[i], clocks[i])
+              for i, pu in enumerate(pus)}
+    return Schedule(pus, claims, per_pu)
+
+
 def execute(kernel: ExecutableKernel, host_data: Mapping[str, np.ndarray],
             platform: PlatformDescription,
             device: DeviceSelector = ALL_DEVICES,
             scheduling: SchedulingSpec = AutoSchedule(),
-            *, pace: bool = False, record_claims: bool = False) -> RunStats:
+            *, pace: bool = False) -> RunStats:
     """Distribute the kernel's index space across the selected units.
 
     On return the host arrays equal the sequential reference evaluation, and
-    the same inputs always give the same chunk assignment. Configuration
-    problems (unknown devices, incomplete per-device scheduling) raise before
-    any chunk is claimed.
+    the same inputs always give the same chunk assignment, `plan`'s schedule.
+    Configuration problems raise before any chunk is evaluated.
     """
-    pus = resolve_devices(platform, device)
     total = _validate_host_data(kernel, host_data)
-    chunk_sizes = {
-        pu.id: chunk_size_for(pu, scheduling, total, engaged=pus,
-                              element_size=kernel.max_element_size)
-        for pu in pus
-    }
-    devices = {pu.id: SimulatedDevice(pu) for pu in pus if pu.kind is not PuKind.CPU}
-    per_pu = {pu.id: PuStats(pu.id) for pu in pus}
-    cursor = SharedCursor(total, record_claims=record_claims)
-
     started = time.monotonic()
-    while True:
-        pu = min(pus, key=lambda p: per_pu[p.id].busy_time)
-        chunk = cursor.claim(chunk_sizes[pu.id], tag=pu.id)
-        if chunk is None:
-            break
+    schedule = plan(kernel, total, platform, device, scheduling)
+    devices = {pu.id: SimulatedDevice(pu) for pu in schedule.units
+               if pu.kind is not PuKind.CPU}
+    for pu, chunk, _, _ in schedule.claims:
         if pu.kind is PuKind.CPU:
             run_on_cpu(kernel, host_data, chunk)
-            charged = compute_seconds(pu, len(chunk))
         else:
-            charged = run_on_accelerator(devices[pu.id], kernel, host_data, chunk)
-        stats = per_pu[pu.id]
-        stats.chunks_claimed += 1
-        stats.elements_processed += len(chunk)
-        stats.busy_time += charged
-    host_wall = time.monotonic() - started
-
-    processed = sum(s.elements_processed for s in per_pu.values())
-    if processed != total:
-        raise RuntimeError(
-            f"claim accounting is broken: processed {processed} of {total}")
-
-    wall = max(s.busy_time for s in per_pu.values()) if pace else host_wall
-
-    return RunStats(per_pu=per_pu, wall_time=wall,
-                    bytes_moved=kernel.bytes_per_element * total,
-                    claim_log=cursor.claim_log)
+            run_on_accelerator(devices[pu.id], kernel, host_data, chunk)
+    wall = schedule.makespan if pace else time.monotonic() - started
+    return RunStats(per_pu=schedule.per_pu, wall_time=wall,
+                    bytes_moved=kernel.bytes_per_element * total)

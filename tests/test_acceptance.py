@@ -111,15 +111,17 @@ def test_criterion_3_chunk_claiming_properties():
         total = rng.randint(1, 10**6)
         chunk = rng.randint(1, total)
         n_units = rng.randint(1, 8)
-        cursor = SharedCursor(total, record_claims=True)
+        cursor = SharedCursor(total)
         counts = [0] * n_units
+        log = []  # list.append is atomic, but may land out of claim order
 
         def worker(uid):
             while True:
-                claimed = cursor.claim(chunk, tag=uid)
+                claimed = cursor.claim(chunk)
                 if claimed is None:
                     return
                 counts[uid] += len(claimed)
+                log.append(claimed)
 
         threads = [threading.Thread(target=worker, args=(uid,))
                    for uid in range(n_units)]
@@ -128,9 +130,8 @@ def test_criterion_3_chunk_claiming_properties():
         for t in threads:
             t.join()
 
-        log = cursor.claim_log
         covered = 0
-        for record in log:
+        for record in sorted(log, key=lambda c: c.start):
             assert record.start == covered, "claims must be disjoint and gap-free"
             covered = record.finish
         assert covered == total

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hstream.bench import (
+    MB,
     ExperimentPlan,
     build_kernel,
     config_means,
@@ -26,7 +27,7 @@ from hstream.bench import (
 from hstream.errors import ResolveError, VerificationError
 from hstream.ir import DeviceIds, PerDeviceSchedule, UniformSchedule
 from hstream.pdl import parse_pdl
-from hstream.runtime import evaluate_sequential, execute
+from hstream.runtime import evaluate_sequential, execute, executor
 from tests.conftest import DISA_PDL, PROGRAMS
 
 SCALAR = 3.0
@@ -255,10 +256,16 @@ def test_paced_wall_never_below_analytic_floor(config, chunk):
     assert stats.wall_time >= ideal_seconds(kernel, platform, device, n) * (1 - 1e-9)
 
 
-def test_criterion_7_gate_fails_a_bad_policy():
+def earliest_clock(clocks, charges):
+    """The broken scheduler: the unit with the earliest clock claims next,
+    however long it will hold its chunk."""
+    return min(range(len(clocks)), key=clocks.__getitem__)
+
+
+def test_criterion_7_gate_fails_a_bad_policy(monkeypatch):
     # criterion 7 asks CPU+4GPUs for >= 98% of the best single configuration;
-    # with the CPU claiming half the stream as one chunk, the GPUs finish
-    # long before it does and the gate must fail
+    # when the earliest clock claims next and the CPU's chunk is half the
+    # stream, the GPUs finish long before it does and the gate must fail
     platform = parse_pdl(DISA_PDL)
     _, kernel = build_kernel(kernel_def("TRIAD"))
     n = 2**20
@@ -272,10 +279,47 @@ def test_criterion_7_gate_fails_a_bad_policy():
     best_single = max(mb_s("CPU", UniformSchedule(chunk)),
                       mb_s("4GPUs", UniformSchedule(chunk)))
     good = mb_s("CPU+4GPUs", UniformSchedule(chunk))
+    monkeypatch.setattr(executor, "earliest_finish", earliest_clock)
     bad = mb_s("CPU+4GPUs", PerDeviceSchedule(
         ((0, n // 2), (1, chunk), (2, chunk), (3, chunk), (4, chunk))))
     assert good >= 0.98 * best_single
     assert bad < 0.98 * best_single
+
+
+def _paper_plan_ratios(platform):
+    """CPU+4GPUs over the best of CPU and 4GPUs, per paper_plan() cell,
+    modelled from the schedule alone."""
+    full = paper_plan()
+    ratios = {}
+    for name in full.kernels:
+        _, kernel = build_kernel(kernel_def(name))
+        for stream_mb in full.stream_sizes_mb:
+            total = int(stream_mb * MB) // 8
+            for chunk_mb in full.chunk_sizes_mb:
+                scheduling = UniformSchedule(int(chunk_mb * MB) // 8)
+                makespan = {config: executor.plan(kernel, total, platform,
+                                                  resolve_config(platform, config),
+                                                  scheduling).makespan
+                            for config in full.device_configs}
+                # equal bytes, so throughput ratios are inverse makespan ratios
+                ratios[(name, stream_mb, chunk_mb)] = (
+                    min(makespan["CPU"], makespan["4GPUs"]) / makespan["CPU+4GPUs"])
+    return ratios
+
+
+def test_paper_plan_heterogeneous_never_below_best_single(monkeypatch):
+    # the paper's headline claim in every full-scale cell, under the model;
+    # the old earliest-clock rule must fail the same check
+    platform = parse_pdl(DISA_PDL)
+    ratios = _paper_plan_ratios(platform)
+    assert len(ratios) == 252
+    low = {cell: r for cell, r in ratios.items() if r < 0.98}
+    assert not low, f"CPU+4GPUs below 0.98x the best single kind: {low}"
+
+    monkeypatch.setattr(executor, "earliest_finish", earliest_clock)
+    old = _paper_plan_ratios(platform)
+    assert sum(r < 0.98 for r in old.values()) == 43
+    assert min(old.values()) < 0.3
 
 
 # --- summaries ---------------------------------------------------------------------

@@ -7,10 +7,11 @@ import weakref
 import numpy as np
 import pytest
 
+from hstream.bench import resolve_config
 from hstream.errors import PipelineError
-from hstream.frontend import compile_source
+from hstream.frontend import compile_file, compile_source
 from hstream.ir import ALL_DEVICES, ElementType, UniformSchedule
-from hstream.pdl import parse_pdl
+from hstream.pdl import parse_pdl, parse_pdl_file
 from hstream.pipeline import (
     Batch,
     DiscardSink,
@@ -27,7 +28,7 @@ from hstream.pipeline import (
     store,
 )
 from hstream.runtime import ExecutableKernel, RunStats, evaluate_sequential
-from tests.conftest import DISA_PDL, TRIAD_SOURCE
+from tests.conftest import DISA_PDL, PLATFORMS, PROGRAMS, TRIAD_SOURCE
 
 SMALL_PLATFORM = """<platform name="small">
   <pu id="0" type="cpu" cores="2" threads="4" frequency_ghz="2" memory_gb="16"/>
@@ -187,6 +188,24 @@ def test_paced_pipeline_wall_sums_batch_makespans():
                  for b in sink.batches]
     assert len(makespans) == 4
     assert stats.wall_time == pytest.approx(sum(makespans))
+
+
+def test_shipped_triad_stream_models_cpu_and_gpus_at_least_gpus_alone():
+    # the demo program, paced with each configuration's default batch: the
+    # CPU joining four GPUs must not lower the modelled throughput
+    spec = compile_file(PROGRAMS / "triad.hs.c").kernels[0]
+    kern = ExecutableKernel.from_kernel_spec(spec, {"scalar": 3.0})
+    platform = parse_pdl_file(PLATFORMS / "disa.pdl")
+    total = 1048576  # the program's declared array length
+
+    def mb_s(config):
+        stats, _ = run_pipeline(GeneratedSource(kern.input_arrays, total, seed=4),
+                                kern, platform, resolve_config(platform, config),
+                                spec.scheduling, pace=True)
+        assert stats.total_elements == total
+        return stats.throughput_mb_s
+
+    assert mb_s("CPU+4GPUs") >= mb_s("4GPUs")
 
 
 def test_pipeline_frees_its_sink_and_source_on_return():

@@ -23,10 +23,12 @@ from hstream.runtime import (
     ExecutableKernel,
     SharedCursor,
     SimulatedDevice,
+    charge_seconds,
     chunk_size_for,
     compute_seconds,
     evaluate_sequential,
     execute,
+    plan,
     run_on_accelerator,
     run_on_cpu,
     transfer_seconds,
@@ -84,15 +86,15 @@ def test_claim_requires_positive_chunk():
 @given(st.integers(1, 10_000), st.integers(1, 10_000), st.integers(1, 8))
 def test_concurrent_claims_disjoint_cover(total, chunk, n_threads):
     chunk = min(chunk, total)
-    cursor = SharedCursor(total, record_claims=True)
-    per_thread = {i: 0 for i in range(n_threads)}
+    cursor = SharedCursor(total)
+    per_thread = {i: [] for i in range(n_threads)}
 
     def worker(tid):
         while True:
-            claimed = cursor.claim(chunk, tag=tid)
+            claimed = cursor.claim(chunk)
             if claimed is None:
                 return
-            per_thread[tid] += len(claimed)
+            per_thread[tid].append(claimed)
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
     for t in threads:
@@ -100,14 +102,16 @@ def test_concurrent_claims_disjoint_cover(total, chunk, n_threads):
     for t in threads:
         t.join()
 
-    log = cursor.claim_log
-    assert [r.start for r in log] == sorted(r.start for r in log)
+    for claims in per_thread.values():  # each thread sees starts increase
+        assert [c.start for c in claims] == sorted(c.start for c in claims)
     covered = 0
-    for record in log:
-        assert record.start == covered  # disjoint, gap-free
-        covered = record.finish
+    for claimed in sorted((c for cs in per_thread.values() for c in cs),
+                          key=lambda c: c.start):
+        assert claimed.start == covered  # disjoint, gap-free
+        covered = claimed.finish
     assert covered == total
-    assert sum(per_thread.values()) == total
+    assert sum(len(c) for cs in per_thread.values() for c in cs) == total
+    assert cursor.remaining == 0
 
 
 # --- chunk sizing ---------------------------------------------------------------
@@ -222,10 +226,10 @@ def test_accelerator_charge_counts_transfers_and_compute():
     platform = make_platform()
     dev = SimulatedDevice(platform.by_id(1))
     n = 2**17  # 1 MB per slice
-    host = {"a": np.zeros(n), "b": np.ones(n), "c": np.ones(n)}
-    charged = run_on_accelerator(dev, kern, host, Chunk(0, n))
+    charged = charge_seconds(dev.pu, kern, n)
     expected = transfer_seconds(dev.pu, 4 * n * 8) + compute_seconds(dev.pu, n)
     assert charged == pytest.approx(expected)
+    assert charge_seconds(platform.by_id(0), kern, n) == compute_seconds(platform.by_id(0), n)
 
 
 def test_fill_has_zero_copy_in_volume():
@@ -233,8 +237,7 @@ def test_fill_has_zero_copy_in_volume():
     platform = make_platform()
     dev = SimulatedDevice(platform.by_id(1))
     n = 2**17
-    host = {"a": np.zeros(n)}
-    charged = run_on_accelerator(dev, kern, host, Chunk(0, n))
+    charged = charge_seconds(dev.pu, kern, n)
     expected = transfer_seconds(dev.pu, n * 8) + compute_seconds(dev.pu, n)  # out only
     assert charged == pytest.approx(expected)
 
@@ -262,7 +265,7 @@ def test_execute_triad_two_units_matches_oracle():
     b, c = rng.random(n), rng.random(n)
     host = {"a": np.zeros(n), "b": b, "c": c}
     stats = execute(kern, host, platform, scheduling=UniformSchedule(4096))
-    assert stats.total_chunks == 16  # 2**16 / 4096
+    assert sum(s.chunks_claimed for s in stats.per_pu.values()) == 16  # 2**16 / 4096
     assert stats.total_elements == n
     expected = evaluate_sequential(kern, {"b": b, "c": c})
     assert host["a"].tobytes() == expected["a"].tobytes()
@@ -284,7 +287,7 @@ def test_execute_single_element():
     kern = triad()
     host = {"a": np.zeros(1), "b": np.array([2.0]), "c": np.array([4.0])}
     stats = execute(kern, host, platform, scheduling=UniformSchedule(100))
-    assert stats.total_chunks == 1
+    assert sum(s.chunks_claimed for s in stats.per_pu.values()) == 1
     assert host["a"][0] == 2.0 + 3.0 * 4.0
 
 
@@ -315,14 +318,11 @@ def test_execute_claim_log_monotone_and_disjoint():
     platform = make_platform()
     kern = triad()
     n = 40_000
-    host = {"a": np.zeros(n), "b": np.ones(n), "c": np.ones(n)}
-    stats = execute(kern, host, platform, scheduling=UniformSchedule(1024),
-                    record_claims=True)
-    log = stats.claim_log
+    schedule = plan(kern, n, platform, scheduling=UniformSchedule(1024))
     covered = 0
-    for record in log:
-        assert record.start == covered
-        covered = record.finish
+    for claim in schedule.claims:
+        assert claim.chunk.start == covered
+        covered = claim.chunk.finish
     assert covered == n
 
 
@@ -393,13 +393,74 @@ def test_paced_execute_is_deterministic_and_reports_the_makespan():
     for _ in range(2):
         host = {"a": np.zeros(n), "b": b.copy(), "c": c.copy()}
         runs.append(execute(kern, host, platform, scheduling=UniformSchedule(1000),
-                            pace=True, record_claims=True))
+                            pace=True))
     first, second = runs
-    assert first.claim_log == second.claim_log
-    assert first.per_pu == second.per_pu
-    assert first.wall_time == second.wall_time
+    schedules = [plan(kern, n, platform, scheduling=UniformSchedule(1000))
+                 for _ in range(2)]
+    assert schedules[0].claims == schedules[1].claims
+    assert first.per_pu == second.per_pu == schedules[0].per_pu
+    assert first.wall_time == second.wall_time == schedules[0].makespan
     assert first.wall_time == max(s.busy_time for s in first.per_pu.values())
-    assert len({r.tag for r in first.claim_log}) == 5  # every unit took part
+    assert len({c.pu.id for c in schedules[0].claims}) == 5  # every unit took part
+
+
+@st.composite
+def platforms(draw):
+    """The DISA platform, or a made-up one: a cpu and up to three
+    accelerators of random kind, speed and transfer cost."""
+    if draw(st.booleans()):
+        return make_platform()
+    units = ['<pu id="0" type="cpu" cores="2" threads="4" frequency_ghz="1" '
+             f'memory_gb="64"><sim speed_factor="{draw(st.sampled_from([0.5, 1, 3]))}"/></pu>']
+    for pu_id in range(1, draw(st.integers(0, 3)) + 1):
+        kind = draw(st.sampled_from(["gpu", "mic"]))
+        speed = draw(st.sampled_from([0.25, 1, 2, 4, 7.5]))
+        cost = draw(st.sampled_from([0, 0.001, 0.004, 0.05]))
+        units.append(f'<pu id="{pu_id}" type="{kind}" cores="64" frequency_ghz="1" '
+                     f'memory_gb="8"><sim speed_factor="{speed}" '
+                     f'transfer_cost_per_mb="{cost}"/></pu>')
+    return parse_pdl(f'<platform name="p">{"".join(units)}</platform>')
+
+
+@settings(max_examples=150, deadline=None)
+@given(platforms(), st.data(), st.integers(0, 3000))
+def test_plan_is_the_paced_execution(platform, data, total):
+    ids = [pu.id for pu in platform.pus]
+    device = DeviceIds(tuple(data.draw(st.lists(st.sampled_from(ids), min_size=1,
+                                                unique=True))))
+    chunk = st.one_of(st.just(1), st.integers(1, 700))
+    if data.draw(st.booleans()):
+        scheduling = UniformSchedule(data.draw(chunk))
+    else:
+        scheduling = PerDeviceSchedule(tuple((i, data.draw(chunk)) for i in device.ids))
+    kern = triad()
+    rng = np.random.default_rng(total)
+    b, c = rng.random(total), rng.random(total)
+    host = {"a": np.zeros(total), "b": b, "c": c}
+
+    schedule = plan(kern, total, platform, device, scheduling)
+    stats = execute(kern, host, platform, device, scheduling, pace=True)
+
+    assert stats.wall_time == schedule.makespan
+    assert stats.per_pu == schedule.per_pu
+    assert [pu.id for pu in schedule.units] == list(device.ids)
+    covered = 0
+    clocks = {pu_id: 0.0 for pu_id in device.ids}
+    counts = {pu_id: 0 for pu_id in device.ids}
+    elements = {pu_id: 0 for pu_id in device.ids}
+    for pu, chunk_claimed, begin, end in schedule.claims:
+        assert chunk_claimed.start == covered  # contiguous from 0
+        covered = chunk_claimed.finish
+        assert begin == clocks[pu.id] and end > begin  # a unit never waits
+        clocks[pu.id] = end
+        counts[pu.id] += 1
+        elements[pu.id] += len(chunk_claimed)
+    assert covered == total
+    for pu_id, unit in stats.per_pu.items():
+        assert (unit.chunks_claimed, unit.elements_processed, unit.busy_time) == \
+            (counts[pu_id], elements[pu_id], clocks[pu_id])
+    assert schedule.makespan == max(clocks.values())
+    assert host["a"].tobytes() == evaluate_sequential(kern, {"b": b, "c": c})["a"].tobytes()
 
 
 def test_int_kernel_c_division_semantics():
