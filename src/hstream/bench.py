@@ -15,6 +15,7 @@ arrays, ADD/TRIAD/DAXPY 3, FILL 1).
 from __future__ import annotations
 
 import io
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -131,6 +132,10 @@ class ExperimentPlan:
         if not (self.kernels and self.stream_sizes_mb and self.chunk_sizes_mb
                 and self.device_configs and self.repeats >= 1):
             raise ValueError("experiment plan lists must be non-empty, repeats >= 1")
+        for mb in (*self.stream_sizes_mb, *self.chunk_sizes_mb, self.batch_mb):
+            if mb is not None and not 0 < mb < math.inf:
+                raise ValueError(f"experiment plan sizes must be positive, "
+                                 f"finite MB; got {mb}")
 
     @property
     def cells(self) -> int:
@@ -194,31 +199,53 @@ def _same_bits(produced: np.ndarray, expected: np.ndarray) -> bool:
         and np.array_equal(produced.view(bits), expected.view(bits))
 
 
+def _stream(kernel: ExecutableKernel, total_elements: int, repeat_index: int,
+            seed: int) -> GeneratedSource:
+    """The same inputs whatever the chunk, batch or device configuration."""
+    return GeneratedSource(kernel.input_arrays, total_elements,
+                           seed=seed + 1009 * repeat_index)
+
+
+def reference(defn: KernelDef, stream_mb: float, repeat_index: int,
+              seed: int) -> dict[str, np.ndarray]:
+    """The sequential oracle's outputs for every cell of one (kernel, stream,
+    repeat): neither the chunk size nor the device set changes them."""
+    _, kernel = build_kernel(defn)
+    total_elements = _elements(stream_mb)
+    inputs = _stream(kernel, total_elements, repeat_index, seed).read_all()
+    return evaluate_sequential(kernel, inputs, total_elements)
+
+
+def _batches_match(sink: MemorySink, name: str, expected: np.ndarray) -> bool:
+    """Whether the sink's `name` outputs, laid end to end, equal `expected`
+    bit for bit; a missing output, a short or missing batch fails."""
+    offset = 0
+    for batch in sink.batches:
+        got = batch.outputs.get(name)
+        if got is None or not _same_bits(got, expected[offset:offset + batch.length]):
+            return False
+        offset += batch.length
+    return offset == len(expected)
+
+
 def run_cell(defn: KernelDef, platform: PlatformDescription, stream_mb: float,
              chunk_mb: float, config: str, repeat_index: int, seed: int,
-             batch_mb: Optional[float], pace: bool = True) -> ResultRow:
-    """One verified benchmark run; raises VerificationError on divergence."""
+             batch_mb: Optional[float], expected: dict[str, np.ndarray],
+             pace: bool = True) -> ResultRow:
+    """One run, verified bitwise against `expected`, the cell's `reference`;
+    raises VerificationError on divergence."""
     chunk_elements = _elements(chunk_mb)
     total_elements = _elements(stream_mb)
     batch_elements = total_elements if batch_mb is None \
         else min(total_elements, _elements(batch_mb))
     _, kernel = build_kernel(defn, chunk_elements=chunk_elements)
-    device = resolve_config(platform, config)
-    cell_seed = seed + 1009 * repeat_index
-
-    def inputs():  # the same stream whatever the batch size
-        return GeneratedSource(kernel.input_arrays, total_elements, seed=cell_seed)
-
     sink = MemorySink()
-    stats, _ = run_pipeline(inputs(), kernel, platform, device,
+    stats, _ = run_pipeline(_stream(kernel, total_elements, repeat_index, seed),
+                            kernel, platform, resolve_config(platform, config),
                             UniformSchedule(chunk_elements),
                             batch_elements=batch_elements, sink=sink, pace=pace)
-
-    expected = evaluate_sequential(kernel, inputs().read_all(), total_elements)
-    produced = sink.arrays()
     for name in kernel.output_arrays:
-        if produced.get(name) is None \
-                or not _same_bits(produced[name], expected[name]):
+        if not _batches_match(sink, name, expected[name]):
             raise VerificationError(
                 f"unverified result in cell kernel={defn.name} "
                 f"stream_mb={stream_mb} chunk_mb={chunk_mb} config={config} "
@@ -233,20 +260,27 @@ def run_experiment(plan: ExperimentPlan, platform: PlatformDescription,
                    progress=None) -> list[ResultRow]:
     """Full factorial sweep, cells sequential, every run verified.
 
-    Device configurations rotate innermost, so each repeat measures every
-    configuration back-to-back; slow stretches of a shared host then land on
-    all configurations alike instead of biasing whichever one ran during them.
+    Every kernel name and device configuration is resolved before the first
+    cell runs, so a bad plan fails at once rather than hours in. Device
+    configurations rotate innermost, so one sequential reference serves every
+    configuration of a (kernel, stream, chunk, repeat) group.
     """
+    try:
+        defns = [kernel_def(name) for name in plan.kernels]
+    except KeyError as exc:
+        raise ResolveError(exc.args[0]) from None
+    for config in plan.device_configs:
+        resolve_config(platform, config)
     rows: list[ResultRow] = []
-    for kernel_name in plan.kernels:
-        defn = kernel_def(kernel_name)
+    for defn in defns:
         for stream_mb in plan.stream_sizes_mb:
             for chunk_mb in plan.chunk_sizes_mb:
                 for rep in range(plan.repeats):
+                    expected = reference(defn, stream_mb, rep, plan.seed)
                     for config in plan.device_configs:
                         row = run_cell(defn, platform, stream_mb, chunk_mb,
                                        config, rep, plan.seed, plan.batch_mb,
-                                       pace=pace)
+                                       expected, pace=pace)
                         rows.append(row)
                         if progress:
                             progress(row)

@@ -68,7 +68,8 @@ class PdlError(CompileError):
 
 
 class ResolveError(Exception):
-    """Device selector does not resolve against the platform."""
+    """A device selector, device configuration or benchmark kernel name does
+    not resolve."""
 
 
 class ConfigurationError(Exception):

@@ -168,19 +168,23 @@ class ExecutableKernel:
 def evaluate_sequential(kernel: ExecutableKernel,
                         inputs: Mapping[str, np.ndarray],
                         length: int | None = None) -> dict[str, np.ndarray]:
-    """Single-pass reference evaluation over fresh buffers.
+    """Single-pass reference evaluation; returns the output arrays.
 
-    Inputs are copied, outputs not supplied start at zero; returns the output
-    arrays. Chunked and multi-device runs must match this bitwise.
+    Only `kernel.output_arrays` get fresh buffers (copied inputs, else zeros):
+    semantics rejects a body write outside an out or inout clause, so the rest
+    are read in place and the caller's arrays are never written. Chunked and
+    multi-device runs must match this bitwise.
     """
     if length is None:
         length = len(next(iter(inputs.values())))
     arrays: dict[str, np.ndarray] = {}
     for name in kernel.array_names:
         dtype = kernel.array_types[name].numpy_dtype
-        if name in inputs:
+        if name not in inputs:
+            arrays[name] = np.zeros(length, dtype=dtype)
+        elif name in kernel.output_arrays:
             arrays[name] = np.array(inputs[name], dtype=dtype, copy=True)
         else:
-            arrays[name] = np.zeros(length, dtype=dtype)
+            arrays[name] = np.asarray(inputs[name], dtype=dtype)
     kernel.eval_into(arrays, length)
     return {name: arrays[name] for name in kernel.output_arrays}

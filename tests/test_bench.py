@@ -19,6 +19,7 @@ from hstream.bench import (
     kernel_catalog,
     kernel_def,
     paper_plan,
+    reference,
     resolve_config,
     run_cell,
     run_experiment,
@@ -26,7 +27,7 @@ from hstream.bench import (
 )
 from hstream.errors import ResolveError, VerificationError
 from hstream.ir import DeviceIds, PerDeviceSchedule, UniformSchedule
-from hstream.pdl import parse_pdl
+from hstream.pdl import PuKind, parse_pdl
 from hstream.runtime import evaluate_sequential, execute, executor
 from tests.conftest import DISA_PDL, PROGRAMS
 
@@ -83,6 +84,20 @@ def test_kernel_formulas_match_hand_oracles(name):
     (out_name,) = kernel.output_arrays
     expected = _FORMULAS[name](env)
     assert outputs[out_name].tobytes() == np.asarray(expected, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", [k.name for k in kernel_catalog()])
+def test_evaluate_sequential_never_writes_or_aliases_its_inputs(name):
+    # every clause array is supplied, outputs too (DAXPY's y is inout)
+    _, kernel = build_kernel(kernel_def(name))
+    rng = np.random.default_rng(7)
+    inputs = {arr: rng.random(101) for arr in kernel.array_names}
+    before = {arr: v.copy() for arr, v in inputs.items()}
+    outputs = evaluate_sequential(kernel, inputs)
+    for arr, v in inputs.items():
+        assert v.tobytes() == before[arr].tobytes(), arr
+        for out_name, out in outputs.items():
+            assert not np.shares_memory(out, v), (out_name, arr)
 
 
 def test_unknown_kernel_name():
@@ -168,7 +183,9 @@ def test_unverified_run_aborts_with_cell_diagnostic(monkeypatch):
     monkeypatch.setattr(bench_mod, "evaluate_sequential", corrupted)
     with pytest.raises(VerificationError, match="kernel=COPY.*config=CPU"):
         run_cell(kernel_def("COPY"), small_platform(), 0.25, 0.05, "CPU", 0,
-                 seed=1, batch_mb=None, pace=False)
+                 seed=1, batch_mb=None,
+                 expected=reference(kernel_def("COPY"), 0.25, 0, seed=1),
+                 pace=False)
 
 
 def test_sign_of_zero_fails_verification(monkeypatch):
@@ -186,7 +203,82 @@ def test_sign_of_zero_fails_verification(monkeypatch):
     monkeypatch.setattr(bench_mod, "evaluate_sequential", negative_zeros)
     with pytest.raises(VerificationError, match="kernel=FILL"):
         run_cell(kernel_def("FILL"), small_platform(), 0.25, 0.05, "CPU+1GPU",
-                 0, seed=1, batch_mb=None, pace=False)
+                 0, seed=1, batch_mb=None,
+                 expected=reference(kernel_def("FILL"), 0.25, 0, seed=1),
+                 pace=False)
+
+
+def test_reference_is_built_once_per_group(monkeypatch):
+    # the oracle depends on (kernel, stream, repeat) only, so the device
+    # configurations of a group share it
+    import hstream.bench as bench_mod
+    calls = []
+
+    def counted(kernel, inputs, length=None):
+        calls.append(kernel.name)
+        return evaluate_sequential(kernel, inputs, length)
+
+    monkeypatch.setattr(bench_mod, "evaluate_sequential", counted)
+    plan = ExperimentPlan(kernels=("COPY", "DAXPY"), stream_sizes_mb=(0.25,),
+                          chunk_sizes_mb=(0.05, 0.1),
+                          device_configs=("CPU", "1GPU", "CPU+1GPU"), repeats=2)
+    rows = run_experiment(plan, small_platform(), pace=False)
+    assert len(rows) == 24 and all(r.verified for r in rows)
+    assert calls == ["COPY"] * 4 + ["DAXPY"] * 4
+
+
+def test_shared_reference_still_catches_one_bad_cell(monkeypatch):
+    # only the last configuration of the group is corrupted, one bit of it
+    import hstream.bench as bench_mod
+    platform = small_platform()
+    real_run_pipeline = bench_mod.run_pipeline
+
+    def flip_on_gpus(source, kernel, platform, device, *args, sink, **kwargs):
+        result = real_run_pipeline(source, kernel, platform, device, *args,
+                                   sink=sink, **kwargs)
+        if any(platform.by_id(i).kind is PuKind.GPU for i in device.ids):
+            (name,) = kernel.output_arrays
+            sink.batches[-1].outputs[name].view(np.uint64)[-1] ^= 1
+        return result
+
+    monkeypatch.setattr(bench_mod, "run_pipeline", flip_on_gpus)
+    plan = ExperimentPlan(kernels=("TRIAD",), stream_sizes_mb=(0.25,),
+                          chunk_sizes_mb=(0.05,),
+                          device_configs=("CPU", "CPU+1GPU"), repeats=1)
+    passed = []
+    with pytest.raises(VerificationError, match=r"config=CPU\+1GPU .*output 'a'"):
+        run_experiment(plan, platform, pace=False, progress=passed.append)
+    assert [r.device_config for r in passed] == ["CPU"]
+
+
+def _drop_second_batch(batches, batch):
+    if batch.seq != 1:
+        batches.append(batch)
+
+
+def _shorten_first_batch(batches, batch):
+    if batch.seq == 0:
+        batch.outputs["a"] = batch.outputs["a"][:-1]
+    batches.append(batch)
+
+
+@pytest.mark.parametrize("damage", [_drop_second_batch, _shorten_first_batch],
+                         ids=["dropped", "short"])
+def test_missing_output_elements_fail_verification(monkeypatch, damage):
+    # FILL writes the same value everywhere, so only the element count can
+    # give a lost batch away
+    import hstream.bench as bench_mod
+
+    class DamagingSink(bench_mod.MemorySink):
+        def write(self, batch):
+            damage(self.batches, batch)
+
+    monkeypatch.setattr(bench_mod, "MemorySink", DamagingSink)
+    plan = ExperimentPlan(kernels=("FILL",), stream_sizes_mb=(0.25,),
+                          chunk_sizes_mb=(0.05,), device_configs=("CPU",),
+                          repeats=1, batch_mb=0.1)
+    with pytest.raises(VerificationError, match="kernel=FILL.*output 'a'"):
+        run_experiment(plan, small_platform(), pace=False)
 
 
 def test_heterogeneous_beats_cpu_only():

@@ -250,6 +250,20 @@ def test_bench_unknown_plan_key(tmp_path, pdl_file, capsys):
     assert "unknown plan key" in err
 
 
+@pytest.mark.parametrize("entry", [
+    "kernels=nope", "configs=CPU,7GPUs", "streams_mb=-1", "chunks_mb=0",
+    "batch_mb=-3"])
+def test_bench_rejects_a_bad_plan_before_any_cell(tmp_path, pdl_file, capsys,
+                                                  entry):
+    code, _, err = run_cli(capsys, "bench", "--pdl", pdl_file,
+                           "--out", tmp_path / "r.csv", "--plan",
+                           "kernels=COPY;streams_mb=0.25;chunks_mb=0.05;"
+                           f"configs=CPU;repeats=1;{entry}")
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_missing_pdl_is_io_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "compile", TRIAD, "--pdl",
                            tmp_path / "none.pdl", "--out-dir", tmp_path)
