@@ -7,6 +7,10 @@ before its throughput is recorded; an unverified run aborts the sweep naming
 the cell. A paced run's throughput is modelled: the executor's virtual clock
 gives the same figure on every run, whatever else the host is doing.
 
+A sweep generates each group's inputs once, read-only, and every device
+configuration of the group streams slices of them. One worker thread builds
+the next group's inputs and reference while the current group's cells run.
+
 Bytes-per-element accounting follows the usual memory-benchmark convention:
 one element-size per array read plus one per array write (COPY/SCALE move 2
 arrays, ADD/TRIAD/DAXPY 3, FILL 1).
@@ -17,6 +21,7 @@ from __future__ import annotations
 import io
 import math
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Union
@@ -199,21 +204,39 @@ def _same_bits(produced: np.ndarray, expected: np.ndarray) -> bool:
         and np.array_equal(produced.view(bits), expected.view(bits))
 
 
-def _stream(kernel: ExecutableKernel, total_elements: int, repeat_index: int,
-            seed: int) -> GeneratedSource:
-    """The same inputs whatever the chunk, batch or device configuration."""
-    return GeneratedSource(kernel.input_arrays, total_elements,
-                           seed=seed + 1009 * repeat_index)
-
-
 def reference(defn: KernelDef, stream_mb: float, repeat_index: int,
-              seed: int) -> dict[str, np.ndarray]:
-    """The sequential oracle's outputs for every cell of one (kernel, stream,
-    repeat): neither the chunk size nor the device set changes them."""
+              seed: int) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """The inputs of one (kernel, stream, repeat), made read-only, and the
+    sequential oracle's outputs for them. Neither the chunk size nor the
+    device set changes either, so every cell of a group shares both."""
     _, kernel = build_kernel(defn)
     total_elements = _elements(stream_mb)
-    inputs = _stream(kernel, total_elements, repeat_index, seed).read_all()
-    return evaluate_sequential(kernel, inputs, total_elements)
+    inputs = GeneratedSource(kernel.input_arrays, total_elements,
+                             seed=seed + 1009 * repeat_index).read_all()
+    for array in inputs.values():
+        array.flags.writeable = False
+    return inputs, evaluate_sequential(kernel, inputs, total_elements)
+
+
+class _SharedSource:
+    """Streams slices of a group's shared inputs: views of the read-only
+    arrays, copies of those the kernel writes. A runtime that writes an array
+    it should only read fails, instead of changing the next cell's inputs."""
+
+    def __init__(self, inputs: dict[str, np.ndarray], total_elements: int,
+                 writes: tuple[str, ...]):
+        self.names = tuple(inputs)
+        self._inputs, self._total, self._writes = inputs, total_elements, writes
+        self._offset = 0
+
+    def read(self, max_elements: int) -> tuple[int, dict[str, np.ndarray]]:
+        lo = self._offset
+        count = min(self._total - lo, max_elements)
+        if count <= 0:
+            return 0, {}
+        self._offset = hi = lo + count
+        return count, {name: array[lo:hi].copy() if name in self._writes
+                       else array[lo:hi] for name, array in self._inputs.items()}
 
 
 def _batches_match(sink: MemorySink, name: str, expected: np.ndarray) -> bool:
@@ -229,18 +252,19 @@ def _batches_match(sink: MemorySink, name: str, expected: np.ndarray) -> bool:
 
 
 def run_cell(defn: KernelDef, platform: PlatformDescription, stream_mb: float,
-             chunk_mb: float, config: str, repeat_index: int, seed: int,
-             batch_mb: Optional[float], expected: dict[str, np.ndarray],
-             pace: bool = True) -> ResultRow:
-    """One run, verified bitwise against `expected`, the cell's `reference`;
-    raises VerificationError on divergence."""
+             chunk_mb: float, config: str, repeat_index: int,
+             batch_mb: Optional[float], inputs: dict[str, np.ndarray],
+             expected: dict[str, np.ndarray], pace: bool = True) -> ResultRow:
+    """One run over the group's `inputs`, verified bitwise against
+    `expected`, both from the group's `reference`; raises VerificationError
+    on divergence."""
     chunk_elements = _elements(chunk_mb)
     total_elements = _elements(stream_mb)
     batch_elements = total_elements if batch_mb is None \
         else min(total_elements, _elements(batch_mb))
     _, kernel = build_kernel(defn, chunk_elements=chunk_elements)
     sink = MemorySink()
-    stats, _ = run_pipeline(_stream(kernel, total_elements, repeat_index, seed),
+    stats, _ = run_pipeline(_SharedSource(inputs, total_elements, kernel.output_arrays),
                             kernel, platform, resolve_config(platform, config),
                             UniformSchedule(chunk_elements),
                             batch_elements=batch_elements, sink=sink, pace=pace)
@@ -261,9 +285,13 @@ def run_experiment(plan: ExperimentPlan, platform: PlatformDescription,
     """Full factorial sweep, cells sequential, every run verified.
 
     Every kernel name and device configuration is resolved before the first
-    cell runs, so a bad plan fails at once rather than hours in. Device
-    configurations rotate innermost, so one sequential reference serves every
-    configuration of a (kernel, stream, chunk, repeat) group.
+    group's reference is built, so a bad plan fails at once rather than hours
+    in. Device configurations rotate innermost, so one `reference` (inputs
+    and oracle) serves every configuration of a (kernel, stream, chunk,
+    repeat) group. A worker thread builds the next group's reference while
+    the current group's cells run; its error surfaces, with its own type,
+    once every earlier group's rows have gone to `progress`. The worker is
+    joined before this returns or raises.
     """
     try:
         defns = [kernel_def(name) for name in plan.kernels]
@@ -271,19 +299,24 @@ def run_experiment(plan: ExperimentPlan, platform: PlatformDescription,
         raise ResolveError(exc.args[0]) from None
     for config in plan.device_configs:
         resolve_config(platform, config)
+    groups = [(defn, stream_mb, chunk_mb, rep) for defn in defns
+              for stream_mb in plan.stream_sizes_mb
+              for chunk_mb in plan.chunk_sizes_mb
+              for rep in range(plan.repeats)]
     rows: list[ResultRow] = []
-    for defn in defns:
-        for stream_mb in plan.stream_sizes_mb:
-            for chunk_mb in plan.chunk_sizes_mb:
-                for rep in range(plan.repeats):
-                    expected = reference(defn, stream_mb, rep, plan.seed)
-                    for config in plan.device_configs:
-                        row = run_cell(defn, platform, stream_mb, chunk_mb,
-                                       config, rep, plan.seed, plan.batch_mb,
-                                       expected, pace=pace)
-                        rows.append(row)
-                        if progress:
-                            progress(row)
+    with ThreadPoolExecutor(1, thread_name_prefix="hstream-oracle") as worker:
+        oracles = (worker.submit(reference, defn, stream_mb, rep, plan.seed)
+                   for defn, stream_mb, _, rep in groups)
+        ahead = next(oracles)
+        for defn, stream_mb, chunk_mb, rep in groups:
+            inputs, expected = ahead.result()
+            ahead = next(oracles, None)
+            for config in plan.device_configs:
+                row = run_cell(defn, platform, stream_mb, chunk_mb, config,
+                               rep, plan.batch_mb, inputs, expected, pace=pace)
+                rows.append(row)
+                if progress:
+                    progress(row)
     return rows
 
 

@@ -346,6 +346,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else
+              "error: out of memory", file=sys.stderr)
+        return 2
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0

@@ -427,7 +427,9 @@ def run_pipeline(source: StreamSource, kernel: ExecutableKernel,
     pipeline on the host; paced, it is the sum of the batches' modelled
     makespans, since the processor runs one batch at a time.
     A batch size below 1 raises ValueError before any stage starts. Any stage
-    error cancels the others and re-raises as PipelineError.
+    error cancels the others and re-raises as PipelineError, except that
+    running out of memory, a fault of the host rather than of the stream,
+    stays a MemoryError.
     """
     if sink is None:
         sink = DiscardSink()
@@ -468,6 +470,8 @@ def run_pipeline(source: StreamSource, kernel: ExecutableKernel,
 
     if errors:
         first = errors[0]
+        if isinstance(first, MemoryError):
+            raise first
         raise PipelineError(f"pipeline failed in flight: {first}") from first
 
     wall = sum(stats.wall_time for stats, _ in written) if pace else host_wall

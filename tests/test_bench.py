@@ -4,6 +4,8 @@ Kernel formula oracles here are hand-written numpy expressions, independent of
 the compiled expression trees they check.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from hstream.bench import (
     run_experiment,
     summarize,
 )
-from hstream.errors import ResolveError, VerificationError
+from hstream.errors import PipelineError, ResolveError, VerificationError
 from hstream.ir import DeviceIds, PerDeviceSchedule, UniformSchedule
 from hstream.pdl import PuKind, parse_pdl
 from hstream.runtime import evaluate_sequential, execute, executor
@@ -181,11 +183,10 @@ def test_unverified_run_aborts_with_cell_diagnostic(monkeypatch):
         return {k: v + 1.0 for k, v in outputs.items()}
 
     monkeypatch.setattr(bench_mod, "evaluate_sequential", corrupted)
+    inputs, expected = reference(kernel_def("COPY"), 0.25, 0, seed=1)
     with pytest.raises(VerificationError, match="kernel=COPY.*config=CPU"):
         run_cell(kernel_def("COPY"), small_platform(), 0.25, 0.05, "CPU", 0,
-                 seed=1, batch_mb=None,
-                 expected=reference(kernel_def("COPY"), 0.25, 0, seed=1),
-                 pace=False)
+                 batch_mb=None, inputs=inputs, expected=expected, pace=False)
 
 
 def test_sign_of_zero_fails_verification(monkeypatch):
@@ -201,30 +202,85 @@ def test_sign_of_zero_fails_verification(monkeypatch):
 
     monkeypatch.setattr(bench_mod, "build_kernel", zero_fill)
     monkeypatch.setattr(bench_mod, "evaluate_sequential", negative_zeros)
+    inputs, expected = reference(kernel_def("FILL"), 0.25, 0, seed=1)
     with pytest.raises(VerificationError, match="kernel=FILL"):
         run_cell(kernel_def("FILL"), small_platform(), 0.25, 0.05, "CPU+1GPU",
-                 0, seed=1, batch_mb=None,
-                 expected=reference(kernel_def("FILL"), 0.25, 0, seed=1),
-                 pace=False)
+                 0, batch_mb=None, inputs=inputs, expected=expected, pace=False)
 
 
 def test_reference_is_built_once_per_group(monkeypatch):
-    # the oracle depends on (kernel, stream, repeat) only, so the device
-    # configurations of a group share it
+    # the inputs and the oracle depend on (kernel, stream, repeat) only, so
+    # the device configurations of a group share them
     import hstream.bench as bench_mod
-    calls = []
+    calls, sources = [], []
 
     def counted(kernel, inputs, length=None):
         calls.append(kernel.name)
         return evaluate_sequential(kernel, inputs, length)
 
+    class CountedSource(bench_mod.GeneratedSource):
+        def __init__(self, names, *args, **kwargs):
+            sources.append(tuple(names))
+            super().__init__(names, *args, **kwargs)
+
     monkeypatch.setattr(bench_mod, "evaluate_sequential", counted)
+    monkeypatch.setattr(bench_mod, "GeneratedSource", CountedSource)
     plan = ExperimentPlan(kernels=("COPY", "DAXPY"), stream_sizes_mb=(0.25,),
                           chunk_sizes_mb=(0.05, 0.1),
                           device_configs=("CPU", "1GPU", "CPU+1GPU"), repeats=2)
+    threads = threading.active_count()
     rows = run_experiment(plan, small_platform(), pace=False)
+    assert threading.active_count() == threads
     assert len(rows) == 24 and all(r.verified for r in rows)
     assert calls == ["COPY"] * 4 + ["DAXPY"] * 4
+    assert sources == [("b",)] * 4 + [("x", "y")] * 4
+
+
+def test_shared_inputs_are_read_only_to_the_runtime(monkeypatch):
+    # a CPU chunk that writes a body-read input after evaluating would change
+    # the inputs of every later cell of the group; it must fail at once
+    real_run_on_cpu = executor.run_on_cpu
+
+    def scribble(kernel, host_data, chunk):
+        real_run_on_cpu(kernel, host_data, chunk)
+        host_data["b"][chunk.start] += 1.0
+
+    monkeypatch.setattr(executor, "run_on_cpu", scribble)
+    plan = ExperimentPlan(kernels=("COPY",), stream_sizes_mb=(0.25,),
+                          chunk_sizes_mb=(0.05,),
+                          device_configs=("1GPU", "CPU", "CPU+1GPU"), repeats=1)
+    passed = []
+    with pytest.raises(PipelineError, match="read-only"):
+        run_experiment(plan, small_platform(), pace=False, progress=passed.append)
+    assert [r.device_config for r in passed] == ["1GPU"]
+
+
+def test_prefetched_reference_error_waits_for_earlier_rows(monkeypatch):
+    # the worker builds SCALE's reference while COPY's last cells run; its
+    # error must surface only after them, with its own type, and leave no
+    # thread behind
+    import hstream.bench as bench_mod
+
+    class OracleFault(Exception):
+        pass
+
+    def fails_for_scale(kernel, inputs, length=None):
+        if kernel.name == "SCALE":
+            raise OracleFault("no reference for SCALE")
+        return evaluate_sequential(kernel, inputs, length)
+
+    monkeypatch.setattr(bench_mod, "evaluate_sequential", fails_for_scale)
+    plan = ExperimentPlan(kernels=("COPY", "SCALE"), stream_sizes_mb=(0.25,),
+                          chunk_sizes_mb=(0.05, 0.1),
+                          device_configs=("CPU", "CPU+1GPU"), repeats=1)
+    passed = []
+    threads = threading.active_count()
+    with pytest.raises(OracleFault, match="SCALE"):
+        run_experiment(plan, small_platform(), pace=False, progress=passed.append)
+    assert threading.active_count() == threads
+    assert [(r.kernel, r.chunk_mb, r.device_config) for r in passed] == [
+        ("COPY", 0.05, "CPU"), ("COPY", 0.05, "CPU+1GPU"),
+        ("COPY", 0.1, "CPU"), ("COPY", 0.1, "CPU+1GPU")]
 
 
 def test_shared_reference_still_catches_one_bad_cell(monkeypatch):
@@ -246,8 +302,10 @@ def test_shared_reference_still_catches_one_bad_cell(monkeypatch):
                           chunk_sizes_mb=(0.05,),
                           device_configs=("CPU", "CPU+1GPU"), repeats=1)
     passed = []
+    threads = threading.active_count()
     with pytest.raises(VerificationError, match=r"config=CPU\+1GPU .*output 'a'"):
         run_experiment(plan, platform, pace=False, progress=passed.append)
+    assert threading.active_count() == threads
     assert [r.device_config for r in passed] == ["CPU"]
 
 

@@ -192,6 +192,25 @@ def test_run_rejects_stream_file_of_mixed_input_types(tmp_path, pdl_file,
     assert "one element type" in err
 
 
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_out_of_memory_exits_2(tmp_path, pdl_file, capsys, monkeypatch,
+                               command):
+    # a stand-in for a size too large to allocate: the generator raises as
+    # numpy would, without allocating anything
+    def exhausted(self, max_elements):
+        raise MemoryError("Unable to allocate 954. TiB")
+
+    monkeypatch.setattr(GeneratedSource, "read", exhausted)
+    args = {"run": ("run", TRIAD, "--input", "gen:1", "--output", "discard"),
+            "bench": ("bench", "--out", tmp_path / "r.csv", "--plan",
+                      "kernels=COPY;streams_mb=0.25;chunks_mb=0.05;"
+                      "configs=CPU;repeats=1")}[command]
+    code, _, err = run_cli(capsys, *args, "--pdl", pdl_file)
+    assert code == 2
+    assert err == "error: out of memory: Unable to allocate 954. TiB\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_run_rejects_multi_directive_program(pdl_file, capsys):
     code, _, err = run_cli(capsys, "run", STREAM, "--pdl", pdl_file,
                            "--input", "gen:1", "--output", "discard")
