@@ -339,8 +339,15 @@ def main(argv=None) -> int:
     except CompileError as exc:
         print(exc.render(), file=sys.stderr)
         return 1
+    except PipelineError as exc:
+        # a stage that failed reading or writing a file is an I/O error
+        if isinstance(exc.__cause__, OSError):
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return 2
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ResolveError, ConfigurationError, VerificationError,
-            PipelineError, ValueError) as exc:
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

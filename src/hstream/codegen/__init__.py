@@ -1,4 +1,4 @@
-"""Target-specific source generation from checked kernels, via string templates."""
+"""Target-specific source generation from checked kernels, built directly as C text."""
 
 from hstream.codegen.emit import (
     ALL_TARGETS,
@@ -14,14 +14,12 @@ from hstream.codegen.emit import (
     leo_clauses,
     normalize_ws,
 )
-from hstream.codegen.templates import TemplateGroup, load_group
 
 __all__ = [
     "ALL_TARGETS",
     "DEFAULT_BLOCK_SIZE",
     "EmittedUnit",
     "TargetKind",
-    "TemplateGroup",
     "cuda_params",
     "gen_cuda",
     "gen_driver",
@@ -29,6 +27,5 @@ __all__ = [
     "gen_openmp",
     "generate",
     "leo_clauses",
-    "load_group",
     "normalize_ws",
 ]

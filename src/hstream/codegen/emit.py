@@ -1,11 +1,13 @@
 """Target code emission from checked kernels.
 
-Each generator renders one compilable-shaped source fragment through the
-template group of its target. Emission is a pure function of the kernel and
-the template set, so output is byte-deterministic.
+Each generator builds one compilable-shaped source fragment of its target
+directly, as lines of C text; a multi-line block spliced into a line is
+indented to its column by `_indent`. Emission is a pure function of the
+kernel, so output is byte-deterministic, and the golden files in
+`tests/golden/` pin it byte for byte.
 
-Golden comparisons use `normalize_ws`, which collapses horizontal whitespace
-runs and trailing blanks but preserves line structure.
+`normalize_ws` collapses horizontal whitespace runs and trailing blanks but
+preserves line structure, for comparing text whose spacing may differ.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
-from hstream.codegen.templates import load_group
 from hstream.ir import (
     AllDevices,
     AutoSchedule,
@@ -50,7 +51,12 @@ class EmittedUnit:
     target: Optional[TargetKind]  # None for the driver
     function_name: str
     text: str
-    symbols: dict[str, str]
+
+
+def _indent(text: str, column: int) -> str:
+    """Indent the continuation lines of a multi-line block to `column`, the
+    column at which its first line is spliced in."""
+    return text.replace("\n", "\n" + " " * column)
 
 
 def _body_lines(kernel: KernelSpec, index_symbol: str) -> str:
@@ -74,17 +80,14 @@ def _body_lines(kernel: KernelSpec, index_symbol: str) -> str:
 # --- Per-target generators ------------------------------------------------------
 
 def gen_openmp(kernel: KernelSpec) -> EmittedUnit:
-    """Parallel host loop over [start, finish) with the elementwise body."""
-    text = load_group("openmp").render(
-        "parallel_for", start="start", finish="finish",
-        body=_body_lines(kernel, "i"),
-    )
-    return EmittedUnit(
-        target=TargetKind.OPENMP,
-        function_name=f"CPU_{kernel.name}",
-        text=text,
-        symbols={"loop_var": "i", "start": "start", "finish": "finish"},
-    )
+    """Parallel host loop over the claimed index range [start, finish) with
+    the elementwise body."""
+    text = ("#pragma omp parallel for\n"
+            "for (int i=start; i<finish; i++)\n"
+            "{\n"
+            f"    {_indent(_body_lines(kernel, 'i'), 4)}\n"
+            "}")
+    return EmittedUnit(TargetKind.OPENMP, f"CPU_{kernel.name}", text)
 
 
 def cuda_params(kernel: KernelSpec) -> list[str]:
@@ -97,49 +100,41 @@ def cuda_params(kernel: KernelSpec) -> list[str]:
 
 def gen_cuda(kernel: KernelSpec) -> EmittedUnit:
     """Device kernel with pointer parameters, a trailing length, and an
-    `idx < len` guard. Memory management is the runtime scheduler's job and
-    never appears in the kernel text."""
+    `idx < len` guard. The kernel never manages memory: the runtime
+    scheduler allocates, copies and frees per chunk, through the driver's
+    GPU stage, so no memory statement appears in the kernel text."""
     name = f"GPU_{kernel.name}"
-    text = load_group("cuda").render(
-        "kernel", name=name,
-        params=", ".join(cuda_params(kernel)),
-        body=_body_lines(kernel, "idx"),
-    )
-    return EmittedUnit(
-        target=TargetKind.CUDA,
-        function_name=name,
-        text=text,
-        symbols={"index": "idx", "length": "len"},
-    )
+    text = (f"__global__ void {name}( {', '.join(cuda_params(kernel))}) {{\n"
+            "    int idx = threadIdx.x + blockIdx.x * blockDim.x;\n"
+            "    if (idx < len)\n"
+            "    {\n"
+            f"        {_indent(_body_lines(kernel, 'idx'), 8)}\n"
+            "    }\n"
+            "}")
+    return EmittedUnit(TargetKind.CUDA, name, text)
 
 
 def leo_clauses(kernel: KernelSpec) -> str:
-    """Offload transfer clauses: one section per array input and output,
-    one bare `in` per scalar input."""
-    group = load_group("leo")
-    parts: list[str] = []
-    for v in kernel.ins:
-        if v.is_elementwise:
-            parts.append(group.render("in_section", var=v.name))
-        else:
-            parts.append(group.render("in_scalar", var=v.name))
-    for v in kernel.array_outs:
-        parts.append(group.render("out_section", var=v.name))
+    """Offload transfer clauses derived from the directive's in/out sets: one
+    section per array input and output, cut to the claimed range, and one
+    bare `in` per scalar input."""
+    parts = [f"in({v.name}[my_start:my_finish])" if v.is_elementwise
+             else f"in({v.name})" for v in kernel.ins]
+    parts += [f"out({v.name}[my_start:my_finish])" for v in kernel.array_outs]
     return " ".join(parts)
 
 
 def gen_leo(kernel: KernelSpec) -> EmittedUnit:
     """Offload pragma wrapping a parallel loop over [my_start, my_finish)."""
-    text = load_group("leo").render(
-        "offload", clauses=leo_clauses(kernel), body=_body_lines(kernel, "i"),
-    )
-    return EmittedUnit(
-        target=TargetKind.LEO,
-        function_name=f"MIC_{kernel.name}",
-        text=text,
-        symbols={"loop_var": "i", "start": "my_start", "finish": "my_finish",
-                 "controller": "cpu_thread_id"},
-    )
+    text = (f"#pragma offload target(mic: cpu_thread_id) {leo_clauses(kernel)}\n"
+            "{\n"
+            "    #pragma omp parallel for\n"
+            "    for (int i = my_start; i < my_finish; i++)\n"
+            "    {\n"
+            f"        {_indent(_body_lines(kernel, 'i'), 8)}\n"
+            "    }\n"
+            "}")
+    return EmittedUnit(TargetKind.LEO, f"MIC_{kernel.name}", text)
 
 
 _GENERATORS = {
@@ -178,29 +173,30 @@ def _scheduling_text(kernel: KernelSpec) -> str:
 
 
 def _gpu_stage(kernel: KernelSpec) -> str:
-    cuda = load_group("cuda")
-    driver = load_group("driver")
+    """The explicit allocate / copy-in / launch / copy-out / free sequence
+    for one kernel. `start` and `myN` are bound to the claimed chunk's first
+    element and length, so every buffer and copy covers that chunk only."""
     arrays = kernel.arrays
-
-    decls = [driver.render("pointer_decl", type=v.element_type.c_name, var=v.name)
-             for v in arrays]
-    body: list[str] = []
-    body += [cuda.render("malloc", var=v.name, type=v.element_type.c_name)
-             for v in arrays]
-    body += [cuda.render("memcpy_host_to_device", **{
-        "from": v.name, "to": v.name, "type": v.element_type.c_name,
-    }) for v in kernel.array_ins]
+    decls = "\n".join(f"{v.element_type.c_name} *d_{v.name};" for v in arrays)
+    body = [f"cudaCheckError(cudaMalloc((void **)&d_{v.name}, "
+            f"sizeof({v.element_type.c_name})*myN));" for v in arrays]
+    body += [f"cudaCheckError(cudaMemcpy(d_{v.name}, {v.name} + start, "
+             f"sizeof({v.element_type.c_name})*myN, cudaMemcpyHostToDevice));"
+             for v in kernel.array_ins]
     args = [f"d_{v.name}" for v in arrays] \
         + [v.name for v in kernel.scalar_ins] + ["myN"]
-    body.append(cuda.render("launch", name=f"GPU_{kernel.name}",
-                            block_size="BLOCK_SIZE", args=", ".join(args)))
-    body += [cuda.render("memcpy_device_to_host", **{
-        "from": v.name, "to": v.name, "type": v.element_type.c_name,
-    }) for v in kernel.array_outs]
-    body += [cuda.render("free", var=v.name) for v in arrays]
-    return driver.render("gpu_stage", name=kernel.name,
-                         pointer_decls="\n".join(decls),
-                         stage_body="\n".join(body))
+    body.append(f"GPU_{kernel.name}<<<(myN + BLOCK_SIZE - 1) / BLOCK_SIZE, "
+                f"BLOCK_SIZE>>>({', '.join(args)});")
+    body += [f"cudaCheckError(cudaMemcpy({v.name} + start, d_{v.name}, "
+             f"sizeof({v.element_type.c_name})*myN, cudaMemcpyDeviceToHost));"
+             for v in kernel.array_outs]
+    body += [f"cudaCheckError(cudaFree(d_{v.name}));" for v in arrays]
+    body_text = "\n".join(body)
+    return (f"static void gpu_stage_{kernel.name}(int start, int finish) {{\n"
+            "    int myN = finish - start;\n"
+            f"    {_indent(decls, 4)}\n"
+            f"    {_indent(body_text, 4)}\n"
+            "}")
 
 
 def gen_driver(kernels: Iterable[KernelSpec], platform: PlatformDescription,
@@ -211,29 +207,30 @@ def gen_driver(kernels: Iterable[KernelSpec], platform: PlatformDescription,
     kernels = list(kernels)
     if not kernels:
         raise ValueError("gen_driver requires at least one kernel")
-    driver = load_group("driver")
 
     helpers = "\n\n".join(_gpu_stage(k) for k in kernels) \
         if TargetKind.CUDA in targets else "/* no gpu kernels requested */"
 
-    main_lines = [driver.render("platform_load", name=platform.name)]
-    for k in kernels:
-        for target in targets:
-            main_lines.append(driver.render(
-                "register", kernel=k.name,
-                target=_TARGET_CONSTANTS[target],
-                symbol=f"{target.symbol_prefix}{k.name}",
-            ))
-    for k in kernels:
-        main_lines.append(driver.render(
-            "execute", kernel=k.name,
-            device=_device_text(k), scheduling=_scheduling_text(k),
-        ))
+    main = [f'hstream_platform_load("{platform.name}");']
+    main += [f'hstream_register("{k.name}", {_TARGET_CONSTANTS[target]}, '
+             f'{target.symbol_prefix}{k.name});'
+             for k in kernels for target in targets]
+    main += [f'hstream_execute("{k.name}", "{_device_text(k)}", '
+             f'"{_scheduling_text(k)}");' for k in kernels]
+    main_text = "\n".join(main)
 
-    text = driver.render("file", block_size=block_size,
-                         helpers=helpers, main_body="\n".join(main_lines))
-    return EmittedUnit(target=None, function_name="main", text=text,
-                       symbols={"block_size": str(block_size)})
+    text = ("/* Generated heterogeneous driver. Do not edit. */\n"
+            '#include "hstream_runtime.h"\n'
+            "\n"
+            f"#define BLOCK_SIZE {block_size}\n"
+            "\n"
+            f"{helpers}\n"
+            "\n"
+            "int main(void) {\n"
+            f"    {_indent(main_text, 4)}\n"
+            "    return 0;\n"
+            "}")
+    return EmittedUnit(None, "main", text)
 
 
 # --- Output normalization for golden comparison ------------------------------------

@@ -38,7 +38,7 @@ from hstream.ir import (
     UniformSchedule,
 )
 from hstream.pdl import PlatformDescription, resolve_devices
-from hstream.runtime import ExecutableKernel, RunStats, execute
+from hstream.runtime import AUTO_MIN_BYTES, ExecutableKernel, RunStats, execute
 
 DEFAULT_QUEUE_CAPACITY = 2
 
@@ -310,7 +310,7 @@ def default_batch_elements(kernel: ExecutableKernel,
     elif isinstance(scheduling, PerDeviceSchedule):
         chunk = max(scheduling.as_dict().values())
     else:
-        chunk = max(1, 2**20 // kernel.max_element_size)
+        chunk = max(1, AUTO_MIN_BYTES // kernel.max_element_size)
     return max(1, chunk * engaged * 4)
 
 

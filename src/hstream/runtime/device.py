@@ -21,7 +21,6 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from hstream.errors import DeviceMemoryError
 from hstream.pdl import ProcessingUnit, PuKind
 from hstream.runtime.cursor import Chunk
 from hstream.runtime.kernel import ExecutableKernel
@@ -74,21 +73,16 @@ def run_on_accelerator(dev: SimulatedDevice, kernel: ExecutableKernel,
                        phase_hook: Optional[Callable[[str], None]] = None) -> None:
     """Serve one chunk on a simulated accelerator.
 
-    In order: capacity check, allocate private buffers, copy in the kernel's
-    transfer inputs, evaluate against device buffers only, copy outputs back
-    to the claimed host range, free. Host elements outside the chunk are never
-    read or written. `phase_hook`, when given, is called with
-    'allocated' / 'copied_in' / 'evaluated' / 'copied_out' between phases so
-    tests can poison host memory and prove the isolation contract.
+    In order: allocate private buffers, copy in the kernel's transfer inputs,
+    evaluate against device buffers only, copy outputs back to the claimed
+    host range, free. Host elements outside the chunk are never read or
+    written. The chunk is known to fit: `plan` checks every accelerator claim
+    against the unit's memory before any chunk is evaluated. `phase_hook`,
+    when given, is called with 'allocated' / 'copied_in' / 'evaluated' /
+    'copied_out' between phases so tests can poison host memory and prove
+    the isolation contract.
     """
     length = len(chunk)
-    needed = kernel.buffer_bytes_per_element * length
-    if needed > dev.pu.memory_bytes:
-        raise DeviceMemoryError(
-            f"pu {dev.pu.id} ({dev.pu.kind.value}) cannot hold chunk "
-            f"[{chunk.start}, {chunk.finish}): needs {needed / 2**20:.1f} MB, "
-            f"device memory is {dev.pu.memory_gb} GB")
-
     buffers = dev.device_buffers
     for name in kernel.array_names:
         buffers[name] = np.empty(length, dtype=kernel.numpy_dtypes[name])

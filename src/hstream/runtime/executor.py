@@ -18,13 +18,14 @@ speed; without it, the wall time is the host's.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from hstream.errors import ConfigurationError
+from hstream.errors import ConfigurationError, DeviceMemoryError
 from hstream.ir import (
     ALL_DEVICES,
     AutoSchedule,
@@ -169,12 +170,18 @@ def earliest_finish(clocks: Sequence[float], charges: Sequence[float]) -> int:
 def plan(kernel: ExecutableKernel, total: int, platform: PlatformDescription,
          device: DeviceSelector = ALL_DEVICES,
          scheduling: SchedulingSpec = AutoSchedule()) -> Schedule:
-    """The data-free schedule of `total` elements over the selected units;
-    configuration problems raise here, before any chunk is claimed."""
+    """The data-free schedule of `total` elements over the selected units.
+
+    Configuration problems raise here, before any chunk is evaluated,
+    among them an accelerator claim whose buffers exceed the unit's memory
+    (DeviceMemoryError)."""
     pus = resolve_devices(platform, device)
     sizes = [chunk_size_for(pu, scheduling, total, engaged=pus,
                             element_size=kernel.max_element_size) for pu in pus]
     full = [charge_seconds(pu, kernel, size) for pu, size in zip(pus, sizes)]
+    # the host path evaluates in place and allocates no buffers
+    capacity = [math.inf if pu.kind is PuKind.CPU else pu.memory_bytes
+                for pu in pus]
     largest = max(sizes)
     clocks = [0.0] * len(pus)
     counts = [0] * len(pus)
@@ -187,10 +194,18 @@ def plan(kernel: ExecutableKernel, total: int, platform: PlatformDescription,
             charge_seconds(pu, kernel, min(size, left)) for pu, size in zip(pus, sizes)]
         i = earliest_finish(clocks, charges)
         chunk = cursor.claim(sizes[i])
+        length = chunk.finish - chunk.start
+        needed = kernel.buffer_bytes_per_element * length
+        if needed > capacity[i]:
+            pu = pus[i]
+            raise DeviceMemoryError(
+                f"pu {pu.id} ({pu.kind.value}) cannot hold chunk "
+                f"[{chunk.start}, {chunk.finish}): needs {needed} bytes, "
+                f"device memory is {pu.memory_bytes} bytes")
         claims.append(Claim(pus[i], chunk, clocks[i], clocks[i] + charges[i]))
         clocks[i] += charges[i]
         counts[i] += 1
-        elements[i] += chunk.finish - chunk.start
+        elements[i] += length
     per_pu = {pu.id: PuStats(pu.id, counts[i], elements[i], clocks[i])
               for i, pu in enumerate(pus)}
     return Schedule(pus, claims, per_pu)

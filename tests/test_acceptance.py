@@ -7,6 +7,7 @@ Stated runtime ceilings are asserted inside the tests themselves.
 import random
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -157,7 +158,7 @@ def test_criterion_4_oracle_equivalence():
     runs = 0
     for defn in kernel_catalog():
         _, kernel = build_kernel(defn)
-        rng = np.random.default_rng(hash(defn.name) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(defn.name.encode()))
         inputs = {name: rng.random(n) for name in kernel.input_arrays}
         expected = evaluate_sequential(kernel, inputs, n)
         for config_name, device in configs.items():

@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, exit codes, diagnostics routing."""
 
+import errno
 import os
 import stat
 
@@ -8,9 +9,9 @@ import pytest
 
 from hstream.cli import main
 from hstream.frontend import compile_source
-from hstream.pipeline import GeneratedSource
+from hstream.pipeline import FileSink, GeneratedSource
 from hstream.runtime import ExecutableKernel, evaluate_sequential
-from tests.conftest import DISA_PDL, INVALID, PROGRAMS
+from tests.conftest import DISA_PDL, GOLDEN, INVALID, PROGRAMS
 
 TRIAD = PROGRAMS / "triad.hs.c"
 STREAM = PROGRAMS / "stream.hs.c"
@@ -45,12 +46,13 @@ def run_cli(capsys, *argv):
 
 
 def test_compile_happy_path_emits_four_files(tmp_path, pdl_file, capsys):
+    """Each emitted file equals its golden byte for byte."""
     out_dir = tmp_path / "gen"
     code, out, err = run_cli(capsys, "compile", TRIAD, "--pdl", pdl_file,
                              "--out-dir", out_dir)
     assert code == 0
     for name in ("triad_omp.c", "triad_cuda.cu", "triad_leo.c", "triad_driver.c"):
-        assert (out_dir / name).exists(), name
+        assert (out_dir / name).read_bytes() == (GOLDEN / name).read_bytes(), name
         assert name in out
 
 
@@ -209,6 +211,20 @@ def test_out_of_memory_exits_2(tmp_path, pdl_file, capsys, monkeypatch,
     assert code == 2
     assert err == "error: out of memory: Unable to allocate 954. TiB\n"
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_run_output_write_failure_exits_2(tmp_path, pdl_file, capsys,
+                                         monkeypatch):
+    # a stand-in for a full disk, as writing to /dev/full gives
+    def full(self, batch):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(FileSink, "write", full)
+    code, _, err = run_cli(capsys, "run", TRIAD, "--pdl", pdl_file,
+                           "--input", "gen:1", "--output", tmp_path / "out.bin")
+    assert code == 2
+    assert err == ("i/o error: pipeline failed in flight: [Errno "
+                   f"{errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
 
 
 def test_run_rejects_multi_directive_program(pdl_file, capsys):

@@ -183,7 +183,7 @@ double b[8];
     assert 'hstream_execute("One", "1", "64");' in unit.text
 
 
-def test_driver_gpu_stage_binds_myn_and_uses_templates():
+def test_driver_gpu_stage_binds_myn():
     unit = gen_driver([kernel_from(TRIAD_SOURCE, "Triad")], parse_pdl(DISA_PDL))
     assert "int myN = finish - start;" in unit.text
     assert "cudaCheckError(cudaMemcpy(d_b, b + start, sizeof(double)*myN, cudaMemcpyHostToDevice));" in unit.text

@@ -54,6 +54,14 @@ double scalar;
 }
 """
 
+COPY = """double a[64];
+double b[64];
+#pragma hstream in(b) out(a)
+{
+    a = b;
+}
+"""
+
 
 # --- claiming ----------------------------------------------------------------
 
@@ -245,11 +253,31 @@ def test_fill_has_zero_copy_in_volume():
 def test_simulated_out_of_memory_names_unit():
     kern = triad()
     platform = make_platform()
-    dev = SimulatedDevice(platform.by_id(1))  # 8 GB
-    big = 2**30  # 3 buffers x 8 GB needed
-    host = {"a": np.zeros(8), "b": np.zeros(8), "c": np.zeros(8)}
-    with pytest.raises(DeviceMemoryError, match="pu 1"):
-        run_on_accelerator(dev, kern, host, Chunk(0, big))
+    big = 2**30  # 3 buffers x 8 bytes x 2**30 elements against 8 GB
+    with pytest.raises(DeviceMemoryError,
+                       match=r"^pu 1 \(gpu\) cannot hold chunk \[0, 1073741824\): "
+                             r"needs 25769803776 bytes, device memory is "
+                             r"8589934592 bytes$"):
+        plan(kern, big, platform, DeviceIds((1,)), UniformSchedule(big))
+
+
+def test_out_of_memory_raises_before_any_chunk_is_evaluated():
+    # the slow gpu's first claim comes after the cpu's first ones; 1024
+    # elements x 2 buffers x 8 bytes exceed its 10,737 bytes
+    platform = parse_pdl("""<platform name="p">
+      <pu id="0" type="cpu" cores="2" threads="4" frequency_ghz="1" memory_gb="64"/>
+      <pu id="1" type="gpu" cores="64" frequency_ghz="1" memory_gb="0.00001">
+        <sim speed_factor="0.5"/></pu>
+    </platform>""")
+    kern = kernel_of(COPY)
+    n = 2**14
+    host = {"a": np.zeros(n), "b": np.arange(n, dtype=np.float64)}
+    before = {name: arr.copy() for name, arr in host.items()}
+    with pytest.raises(DeviceMemoryError, match="needs 16384 bytes, device "
+                                                "memory is 10737 bytes"):
+        execute(kern, host, platform, scheduling=UniformSchedule(1024))
+    for name, arr in host.items():
+        assert arr.tobytes() == before[name].tobytes(), name
 
 
 # --- execute ----------------------------------------------------------------------
