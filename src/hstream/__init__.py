@@ -5,144 +5,56 @@ GPU-kernel, and coprocessor-offload source fragments plus a driver; a
 simulated heterogeneous runtime distributes chunked index ranges across the
 platform's processing units; a three-stage pipeline streams batches through
 that runtime; and a benchmark harness measures verified throughput.
+
+The package exports the calls a program makes end to end (compile, load a
+platform, build a kernel, execute or stream it) and the errors `hstreamc`
+maps to exit codes; everything else is imported from its own module.
 """
 
-from hstream import bench
-from hstream.codegen import (
-    ALL_TARGETS,
-    EmittedUnit,
-    TargetKind,
-    gen_cuda,
-    gen_driver,
-    gen_leo,
-    gen_openmp,
-    generate,
-    normalize_ws,
-)
+from hstream import bench, codegen, frontend, pdl, pipeline, runtime
 from hstream.errors import (
     CompileError,
     ConfigurationError,
-    DeviceMemoryError,
-    Diagnostic,
-    PdlError,
     PipelineError,
     ResolveError,
     VerificationError,
 )
-from hstream.frontend import (
-    CompileResult,
-    compile_file,
-    compile_source,
-    format_program,
-    unit_name_for,
-)
-from hstream.ir import (
-    ALL_DEVICES,
-    AllDevices,
-    AutoSchedule,
-    BoundVar,
-    DeviceIds,
-    ElementType,
-    KernelSpec,
-    PerDeviceSchedule,
-    UniformSchedule,
-    VarKind,
-)
-from hstream.pdl import (
-    PlatformDescription,
-    ProcessingUnit,
-    PuKind,
-    parse_pdl,
-    parse_pdl_file,
-    resolve_devices,
-)
+from hstream.frontend import compile_file, compile_source
+from hstream.ir import ALL_DEVICES, UniformSchedule
+from hstream.pdl import parse_pdl_file
 from hstream.pipeline import (
-    Batch,
-    DiscardSink,
     FileSink,
     FileSource,
     GeneratedSource,
     MemorySink,
-    ProcessedBatch,
-    StageDelays,
-    StageTrace,
-    produce,
-    process,
     run_pipeline,
-    store,
 )
-from hstream.runtime import (
-    Chunk,
-    ExecutableKernel,
-    RunStats,
-    SharedCursor,
-    SimulatedDevice,
-    chunk_size_for,
-    evaluate_sequential,
-    execute,
-)
+from hstream.runtime import ExecutableKernel, execute
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ALL_DEVICES",
-    "ALL_TARGETS",
-    "AllDevices",
-    "AutoSchedule",
-    "Batch",
-    "BoundVar",
-    "Chunk",
     "CompileError",
-    "CompileResult",
     "ConfigurationError",
-    "DeviceIds",
-    "DeviceMemoryError",
-    "Diagnostic",
-    "DiscardSink",
-    "ElementType",
-    "EmittedUnit",
     "ExecutableKernel",
     "FileSink",
     "FileSource",
     "GeneratedSource",
-    "KernelSpec",
     "MemorySink",
-    "PdlError",
-    "PerDeviceSchedule",
     "PipelineError",
-    "PlatformDescription",
-    "ProcessedBatch",
-    "ProcessingUnit",
-    "PuKind",
     "ResolveError",
-    "RunStats",
-    "SharedCursor",
-    "SimulatedDevice",
-    "StageDelays",
-    "StageTrace",
-    "TargetKind",
     "UniformSchedule",
-    "VarKind",
     "VerificationError",
     "bench",
-    "chunk_size_for",
+    "codegen",
     "compile_file",
     "compile_source",
-    "evaluate_sequential",
     "execute",
-    "format_program",
-    "gen_cuda",
-    "gen_driver",
-    "gen_leo",
-    "gen_openmp",
-    "generate",
-    "normalize_ws",
-    "parse_pdl",
+    "frontend",
     "parse_pdl_file",
-    "process",
-    "produce",
-    "resolve_devices",
+    "pdl",
+    "pipeline",
     "run_pipeline",
-    "store",
-    "unit_name_for",
+    "runtime",
 ]

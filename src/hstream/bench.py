@@ -183,8 +183,12 @@ class ResultRow:
     verified: bool
 
 
-def _elements(mb: float) -> int:
-    return max(1, int(mb * MB) // DOUBLE_BYTES)
+def elements_in(mb: float, element_size: int, what: str = "a size") -> int:
+    """Whole elements of `element_size` bytes in `mb` MB, at least one; `what`
+    names the size in the ValueError raised unless `mb` is positive and finite."""
+    if not 0 < mb < math.inf:
+        raise ValueError(f"{what} must be a positive, finite number of MB; got {mb}")
+    return max(1, int(mb * MB) // element_size)
 
 
 def ideal_seconds(kernel: ExecutableKernel, platform: PlatformDescription,
@@ -210,7 +214,7 @@ def reference(defn: KernelDef, stream_mb: float, repeat_index: int,
     sequential oracle's outputs for them. Neither the chunk size nor the
     device set changes either, so every cell of a group shares both."""
     _, kernel = build_kernel(defn)
-    total_elements = _elements(stream_mb)
+    total_elements = elements_in(stream_mb, DOUBLE_BYTES)
     inputs = GeneratedSource(kernel.input_arrays, total_elements,
                              seed=seed + 1009 * repeat_index).read_all()
     for array in inputs.values():
@@ -258,10 +262,10 @@ def run_cell(defn: KernelDef, platform: PlatformDescription, stream_mb: float,
     """One run over the group's `inputs`, verified bitwise against
     `expected`, both from the group's `reference`; raises VerificationError
     on divergence."""
-    chunk_elements = _elements(chunk_mb)
-    total_elements = _elements(stream_mb)
+    chunk_elements = elements_in(chunk_mb, DOUBLE_BYTES)
+    total_elements = elements_in(stream_mb, DOUBLE_BYTES)
     batch_elements = total_elements if batch_mb is None \
-        else min(total_elements, _elements(batch_mb))
+        else min(total_elements, elements_in(batch_mb, DOUBLE_BYTES))
     _, kernel = build_kernel(defn, chunk_elements=chunk_elements)
     sink = MemorySink()
     stats, _ = run_pipeline(_SharedSource(inputs, total_elements, kernel.output_arrays),

@@ -18,6 +18,7 @@ from hstream.bench import (
     ExperimentPlan,
     count_pragma_loc,
     desk_plan,
+    elements_in,
     paper_plan,
     run_experiment,
     summarize,
@@ -180,13 +181,15 @@ def cmd_run(args) -> int:
     platform = parse_pdl_file(args.pdl)
     kernel = ExecutableKernel.from_kernel_spec(
         spec, _scalar_environment(result.program))
+    batch_elements = None if args.batch_mb is None else \
+        elements_in(args.batch_mb, kernel.max_element_size, "--batch-mb")
 
     if args.input.startswith("gen:"):
         try:
             mb = float(args.input[4:])
         except ValueError:
             raise UsageError(f"cannot parse '{args.input}' (expected gen:<MB>)")
-        total = max(1, int(mb * 2**20) // kernel.max_element_size)
+        total = elements_in(mb, kernel.max_element_size, "--input gen:<MB>")
         source = GeneratedSource(kernel.input_arrays, total, seed=args.seed,
                                  element_types=kernel.array_types)
     else:
@@ -202,10 +205,6 @@ def cmd_run(args) -> int:
 
     sink = DiscardSink() if args.output == "discard" \
         else FileSink(args.output, kernel.output_arrays)
-    batch_elements = None
-    if args.batch_mb is not None:
-        batch_elements = max(1, int(args.batch_mb * 2**20)
-                             // kernel.max_element_size)
 
     try:
         stats, _ = run_pipeline(source, kernel, platform, spec.device,

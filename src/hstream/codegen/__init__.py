@@ -2,30 +2,22 @@
 
 from hstream.codegen.emit import (
     ALL_TARGETS,
-    DEFAULT_BLOCK_SIZE,
     EmittedUnit,
     TargetKind,
-    cuda_params,
     gen_cuda,
     gen_driver,
     gen_leo,
     gen_openmp,
     generate,
-    leo_clauses,
-    normalize_ws,
 )
 
 __all__ = [
     "ALL_TARGETS",
-    "DEFAULT_BLOCK_SIZE",
     "EmittedUnit",
     "TargetKind",
-    "cuda_params",
     "gen_cuda",
     "gen_driver",
     "gen_leo",
     "gen_openmp",
     "generate",
-    "leo_clauses",
-    "normalize_ws",
 ]

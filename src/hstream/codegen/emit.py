@@ -5,17 +5,13 @@ directly, as lines of C text; a multi-line block spliced into a line is
 indented to its column by `_indent`. Emission is a pure function of the
 kernel, so output is byte-deterministic, and the golden files in
 `tests/golden/` pin it byte for byte.
-
-`normalize_ws` collapses horizontal whitespace runs and trailing blanks but
-preserves line structure, for comparing text whose spacing may differ.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable
 
 from hstream.ir import (
     AllDevices,
@@ -25,8 +21,6 @@ from hstream.ir import (
     format_expr,
 )
 from hstream.pdl import PlatformDescription
-
-DEFAULT_BLOCK_SIZE = 256
 
 
 class TargetKind(Enum):
@@ -48,7 +42,6 @@ ALL_TARGETS = (TargetKind.OPENMP, TargetKind.CUDA, TargetKind.LEO)
 
 @dataclass(frozen=True)
 class EmittedUnit:
-    target: Optional[TargetKind]  # None for the driver
     function_name: str
     text: str
 
@@ -87,7 +80,7 @@ def gen_openmp(kernel: KernelSpec) -> EmittedUnit:
             "{\n"
             f"    {_indent(_body_lines(kernel, 'i'), 4)}\n"
             "}")
-    return EmittedUnit(TargetKind.OPENMP, f"CPU_{kernel.name}", text)
+    return EmittedUnit(TargetKind.OPENMP.symbol_prefix + kernel.name, text)
 
 
 def cuda_params(kernel: KernelSpec) -> list[str]:
@@ -103,7 +96,7 @@ def gen_cuda(kernel: KernelSpec) -> EmittedUnit:
     `idx < len` guard. The kernel never manages memory: the runtime
     scheduler allocates, copies and frees per chunk, through the driver's
     GPU stage, so no memory statement appears in the kernel text."""
-    name = f"GPU_{kernel.name}"
+    name = TargetKind.CUDA.symbol_prefix + kernel.name
     text = (f"__global__ void {name}( {', '.join(cuda_params(kernel))}) {{\n"
             "    int idx = threadIdx.x + blockIdx.x * blockDim.x;\n"
             "    if (idx < len)\n"
@@ -111,7 +104,7 @@ def gen_cuda(kernel: KernelSpec) -> EmittedUnit:
             f"        {_indent(_body_lines(kernel, 'idx'), 8)}\n"
             "    }\n"
             "}")
-    return EmittedUnit(TargetKind.CUDA, name, text)
+    return EmittedUnit(name, text)
 
 
 def leo_clauses(kernel: KernelSpec) -> str:
@@ -134,7 +127,7 @@ def gen_leo(kernel: KernelSpec) -> EmittedUnit:
             f"        {_indent(_body_lines(kernel, 'i'), 8)}\n"
             "    }\n"
             "}")
-    return EmittedUnit(TargetKind.LEO, f"MIC_{kernel.name}", text)
+    return EmittedUnit(TargetKind.LEO.symbol_prefix + kernel.name, text)
 
 
 _GENERATORS = {
@@ -185,7 +178,8 @@ def _gpu_stage(kernel: KernelSpec) -> str:
              for v in kernel.array_ins]
     args = [f"d_{v.name}" for v in arrays] \
         + [v.name for v in kernel.scalar_ins] + ["myN"]
-    body.append(f"GPU_{kernel.name}<<<(myN + BLOCK_SIZE - 1) / BLOCK_SIZE, "
+    launched = TargetKind.CUDA.symbol_prefix + kernel.name
+    body.append(f"{launched}<<<(myN + BLOCK_SIZE - 1) / BLOCK_SIZE, "
                 f"BLOCK_SIZE>>>({', '.join(args)});")
     body += [f"cudaCheckError(cudaMemcpy({v.name} + start, d_{v.name}, "
              f"sizeof({v.element_type.c_name})*myN, cudaMemcpyDeviceToHost));"
@@ -200,8 +194,7 @@ def _gpu_stage(kernel: KernelSpec) -> str:
 
 
 def gen_driver(kernels: Iterable[KernelSpec], platform: PlatformDescription,
-               targets: tuple[TargetKind, ...] = ALL_TARGETS,
-               block_size: int = DEFAULT_BLOCK_SIZE) -> EmittedUnit:
+               targets: tuple[TargetKind, ...] = ALL_TARGETS) -> EmittedUnit:
     """Driver source registering each kernel's per-target variants and invoking
     the runtime once per directive with its device and scheduling choices."""
     kernels = list(kernels)
@@ -222,7 +215,7 @@ def gen_driver(kernels: Iterable[KernelSpec], platform: PlatformDescription,
     text = ("/* Generated heterogeneous driver. Do not edit. */\n"
             '#include "hstream_runtime.h"\n'
             "\n"
-            f"#define BLOCK_SIZE {block_size}\n"
+            "#define BLOCK_SIZE 256\n"
             "\n"
             f"{helpers}\n"
             "\n"
@@ -230,18 +223,5 @@ def gen_driver(kernels: Iterable[KernelSpec], platform: PlatformDescription,
             f"    {_indent(main_text, 4)}\n"
             "    return 0;\n"
             "}")
-    return EmittedUnit(None, "main", text)
+    return EmittedUnit("main", text)
 
-
-# --- Output normalization for golden comparison ------------------------------------
-
-def normalize_ws(text: str) -> str:
-    """Documented whitespace normalization for golden-file comparison:
-    horizontal whitespace runs collapse to one space, trailing whitespace and
-    leading/trailing blank lines are dropped. Line breaks are preserved."""
-    lines = [re.sub(r"[ \t]+", " ", ln).rstrip() for ln in text.splitlines()]
-    while lines and not lines[0]:
-        lines.pop(0)
-    while lines and not lines[-1]:
-        lines.pop()
-    return "\n".join(lines) + "\n"

@@ -2,7 +2,6 @@
 
 from hstream.runtime.cursor import Chunk, SharedCursor
 from hstream.runtime.device import (
-    SIM_ELEMENTS_PER_SECOND,
     SimulatedDevice,
     charge_seconds,
     compute_seconds,
@@ -13,8 +12,6 @@ from hstream.runtime.device import (
 from hstream.runtime.executor import (
     AUTO_MAX_BYTES,
     AUTO_MIN_BYTES,
-    AUTO_TARGET_CLAIMS,
-    PuStats,
     RunStats,
     chunk_size_for,
     execute,
@@ -25,12 +22,9 @@ from hstream.runtime.kernel import ExecutableKernel, compile_expr, evaluate_sequ
 __all__ = [
     "AUTO_MAX_BYTES",
     "AUTO_MIN_BYTES",
-    "AUTO_TARGET_CLAIMS",
     "Chunk",
     "ExecutableKernel",
-    "PuStats",
     "RunStats",
-    "SIM_ELEMENTS_PER_SECOND",
     "SharedCursor",
     "SimulatedDevice",
     "charge_seconds",

@@ -16,8 +16,8 @@ modelled seconds do not depend on how fast the host evaluates a chunk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -48,12 +48,11 @@ def charge_seconds(pu: ProcessingUnit, kernel: ExecutableKernel,
     return seconds
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulatedDevice:
-    """An in-process accelerator stand-in with private buffers."""
+    """An in-process accelerator stand-in; its buffers live for one chunk."""
 
     pu: ProcessingUnit
-    device_buffers: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def run_on_cpu(kernel: ExecutableKernel, host_data: Mapping[str, np.ndarray],
@@ -69,38 +68,20 @@ def run_on_cpu(kernel: ExecutableKernel, host_data: Mapping[str, np.ndarray],
 
 
 def run_on_accelerator(dev: SimulatedDevice, kernel: ExecutableKernel,
-                       host_data: Mapping[str, np.ndarray], chunk: Chunk,
-                       phase_hook: Optional[Callable[[str], None]] = None) -> None:
+                       host_data: Mapping[str, np.ndarray], chunk: Chunk) -> None:
     """Serve one chunk on a simulated accelerator.
 
     In order: allocate private buffers, copy in the kernel's transfer inputs,
     evaluate against device buffers only, copy outputs back to the claimed
     host range, free. Host elements outside the chunk are never read or
     written. The chunk is known to fit: `plan` checks every accelerator claim
-    against the unit's memory before any chunk is evaluated. `phase_hook`,
-    when given, is called with 'allocated' / 'copied_in' / 'evaluated' /
-    'copied_out' between phases so tests can poison host memory and prove
-    the isolation contract.
+    against the unit's memory before any chunk is evaluated.
     """
     length = len(chunk)
-    buffers = dev.device_buffers
-    for name in kernel.array_names:
-        buffers[name] = np.empty(length, dtype=kernel.numpy_dtypes[name])
-    if phase_hook:
-        phase_hook("allocated")
-
+    buffers = {name: np.empty(length, dtype=kernel.numpy_dtypes[name])
+               for name in kernel.array_names}
     for name in kernel.transfer_ins:
         buffers[name][:] = host_data[name][chunk.start:chunk.finish]
-    if phase_hook:
-        phase_hook("copied_in")
-
     kernel.eval_into(buffers, length)
-    if phase_hook:
-        phase_hook("evaluated")
-
     for name in kernel.transfer_outs:
         host_data[name][chunk.start:chunk.finish] = buffers[name]
-    if phase_hook:
-        phase_hook("copied_out")
-
-    dev.device_buffers.clear()

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,13 +90,14 @@ class RunStats:
 
 
 def chunk_size_for(pu: ProcessingUnit, spec: SchedulingSpec, total: int,
-                   engaged: Optional[list[ProcessingUnit]] = None,
+                   engaged: Sequence[ProcessingUnit],
                    element_size: int = 8) -> int:
-    """Chunk size in elements for one unit under a scheduling choice.
+    """Chunk size in elements for one unit among the `engaged` units under a
+    scheduling choice.
 
     Uniform applies one size to every unit; per-device looks the unit up (a
     missing entry is a configuration error, raised before any chunk is claimed);
-    AUTO splits the total proportionally to configured speeds, targeting
+    AUTO splits the total proportionally to the engaged units' speeds, targeting
     AUTO_TARGET_CLAIMS claims per unit, clamped to [1 MB, 64 MB] worth of
     elements.
     """
@@ -109,8 +110,6 @@ def chunk_size_for(pu: ProcessingUnit, spec: SchedulingSpec, total: int,
                 f"per-device scheduling does not list engaged pu {pu.id}")
         return sizes[pu.id]
     if isinstance(spec, AutoSchedule):
-        if not engaged:
-            raise ConfigurationError("AUTO scheduling needs the engaged unit list")
         weight_sum = sum(p.speed_factor for p in engaged)
         raw = round(total * pu.speed_factor / (AUTO_TARGET_CLAIMS * weight_sum))
         lo = max(1, AUTO_MIN_BYTES // element_size)
@@ -176,7 +175,7 @@ def plan(kernel: ExecutableKernel, total: int, platform: PlatformDescription,
     among them an accelerator claim whose buffers exceed the unit's memory
     (DeviceMemoryError)."""
     pus = resolve_devices(platform, device)
-    sizes = [chunk_size_for(pu, scheduling, total, engaged=pus,
+    sizes = [chunk_size_for(pu, scheduling, total, pus,
                             element_size=kernel.max_element_size) for pu in pus]
     full = [charge_seconds(pu, kernel, size) for pu, size in zip(pus, sizes)]
     # the host path evaluates in place and allocates no buffers

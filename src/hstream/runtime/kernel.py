@@ -119,9 +119,9 @@ class ExecutableKernel:
             self.element_sizes[n] for n in (*self.transfer_ins, *self.transfer_outs))
 
     @classmethod
-    def from_kernel_spec(cls, spec: KernelSpec,
-                         scalar_values: Mapping[str, Scalar] | None = None,
-                         name: str | None = None) -> "ExecutableKernel":
+    def from_kernel_spec(
+            cls, spec: KernelSpec,
+            scalar_values: Mapping[str, Scalar] | None = None) -> "ExecutableKernel":
         values = dict(spec.scalar_defaults())
         if scalar_values:
             for key, val in scalar_values.items():
@@ -139,7 +139,7 @@ class ExecutableKernel:
             array_types[n].size_bytes for n in body_read_names
         ) + sum(v.element_type.size_bytes for v in spec.body_writes if v.is_elementwise)
         return cls(
-            name=name or spec.name,
+            name=spec.name,
             input_arrays=inputs,
             output_arrays=tuple(v.name for v in spec.array_outs),
             transfer_ins=transfer_ins,

@@ -234,6 +234,24 @@ def test_run_rejects_multi_directive_program(pdl_file, capsys):
     assert "exactly one directive" in err
 
 
+@pytest.mark.parametrize("value,shown", [("inf", "inf"), ("nan", "nan"),
+                                         ("0", "0.0"), ("-3", "-3.0")])
+@pytest.mark.parametrize("size,what", [
+    (["--input", "gen:1", "--batch-mb", "{}"], "--batch-mb"),
+    (["--input", "gen:{}"], "--input gen:<MB>"),
+], ids=["batch-mb", "gen"])
+def test_run_rejects_size_that_is_not_positive_and_finite(tmp_path, pdl_file,
+                                                          capsys, size, what,
+                                                          value, shown):
+    out = tmp_path / "out.bin"
+    code, _, err = run_cli(capsys, "run", TRIAD, "--pdl", pdl_file,
+                           "--output", out, *(a.format(value) for a in size))
+    assert code == 1
+    assert err == (f"error: {what} must be a positive, finite number of MB; "
+                   f"got {shown}\n")
+    assert not out.exists()
+
+
 def test_bench_inline_plan_writes_csv(tmp_path, pdl_file, capsys):
     out = tmp_path / "r.csv"
     code, _, err = run_cli(

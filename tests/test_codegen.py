@@ -14,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hstream.codegen import (
+    ALL_TARGETS,
     gen_cuda,
     gen_driver,
     gen_leo,
     gen_openmp,
-    normalize_ws,
+    generate,
 )
 from hstream.frontend import compile_source
 from hstream.pdl import parse_pdl
@@ -66,8 +67,8 @@ double alpha;
 def test_triad_matches_golden(generator, golden):
     kernel = kernel_from(TRIAD_SOURCE, "Triad")
     emitted = generator(kernel)
-    expected = (GOLDEN / golden).read_text()
-    assert normalize_ws(emitted.text) == normalize_ws(expected)
+    # hstreamc writes each fragment followed by one newline
+    assert emitted.text + "\n" == (GOLDEN / golden).read_text()
 
 
 def test_openmp_structure():
@@ -190,6 +191,15 @@ def test_driver_gpu_stage_binds_myn():
     assert "cudaCheckError(cudaMemcpy(a + start, d_a, sizeof(double)*myN, cudaMemcpyDeviceToHost));" in unit.text
     assert "#define BLOCK_SIZE 256" in unit.text
     assert "GPU_Triad<<<(myN + BLOCK_SIZE - 1) / BLOCK_SIZE, BLOCK_SIZE>>>(d_b, d_c, d_a, scalar, myN);" in unit.text
+
+
+@pytest.mark.parametrize("target", ALL_TARGETS, ids=lambda t: t.value)
+def test_each_target_symbol_is_the_one_the_driver_registers(target):
+    kernel = kernel_from(TRIAD_SOURCE, "Triad")
+    symbol = generate(kernel, target).function_name
+    assert symbol == target.symbol_prefix + kernel.name
+    driver = gen_driver([kernel], parse_pdl(DISA_PDL), targets=(target,)).text
+    assert re.findall(r'hstream_register\("Triad", \w+, (\w+)\);', driver) == [symbol]
 
 
 def test_driver_requires_kernels():

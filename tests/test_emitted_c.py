@@ -1,10 +1,18 @@
-"""The emitted OpenMP fragment, compiled with gcc and run, equals the oracle.
+"""The emitted OpenMP, CUDA and LEO fragments, compiled with gcc and run,
+equal the oracle.
 
-A differential check in the style of Csmith: each kernel's `gen_openmp`
-fragment is wrapped in a C function taking the kernel's arrays, its scalars,
-`start` and `finish`, built serially into a shared library and called through
-ctypes over 10,007 elements. Every output must equal `evaluate_sequential`
-bitwise, and every other array must be left as it was.
+A differential check in the style of Csmith: each kernel's three fragments are
+built serially into one shared library, each behind a C function that takes
+the kernel's arrays, its scalars, `start` and `finish`, and each is called
+through ctypes over 10,007 elements. Every output must equal
+`evaluate_sequential` bitwise, and every other array must be left as it was.
+
+gcc builds the CUDA kernel as plain C: `__global__` is defined away,
+`threadIdx`, `blockIdx` and `blockDim` are host globals, and a host loop runs
+every thread of a grid of 256-thread blocks over the claimed range, as the
+driver's GPU stage launches it on chunk-offset buffers. The LEO fragment sits
+in a function taking `my_start` and `my_finish`; gcc ignores its offload
+pragma, and without -fopenmp every `omp` pragma too.
 """
 
 import ctypes
@@ -17,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hstream.bench import build_kernel, kernel_catalog
-from hstream.codegen import gen_openmp
+from hstream.codegen import TargetKind, generate
 from hstream.frontend import compile_source
 from hstream.ir import ElementType
 from hstream.runtime import ExecutableKernel, evaluate_sequential
@@ -29,6 +37,11 @@ pytestmark = pytest.mark.skipif(shutil.which("gcc") is None,
 
 N = 10_007
 _C_TYPES = {ElementType.INT: ctypes.c_int, ElementType.DOUBLE: ctypes.c_double}
+
+CUDA_SHIM = """\
+#define __global__
+static struct { int x; } threadIdx, blockIdx, blockDim;
+"""
 
 
 def _inputs(spec, rng):
@@ -46,39 +59,58 @@ def _inputs(spec, rng):
     return arrays
 
 
-def assert_compiled_matches_oracle(spec, kernel, workdir, seed=0):
-    unit = gen_openmp(spec)
+def c_source(spec, target):
+    """C defining `run_<target>(arrays, scalars, first, end)` around the
+    target's fragment, for the element range [first, end)."""
+    unit = generate(spec, target)
     params = [f"{v.element_type.c_name} *{v.name}" for v in spec.arrays] \
-        + [f"{v.element_type.c_name} {v.name}" for v in spec.scalar_ins] \
-        + ["int start", "int finish"]
+        + [f"{v.element_type.c_name} {v.name}" for v in spec.scalar_ins]
+    bounds = ["int my_start", "int my_finish"] if target is TargetKind.LEO \
+        else ["int start", "int finish"]
+    head = f"void run_{target.value}({', '.join(params + bounds)})"
+    if target is not TargetKind.CUDA:
+        return f"{head}\n{{\n{unit.text}\n}}\n"
+    args = [f"{v.name} + start" for v in spec.arrays] \
+        + [v.name for v in spec.scalar_ins] + ["len"]
+    return (f"{CUDA_SHIM}{unit.text}\n\n{head}\n{{\n"
+            "    int len = finish - start;\n"
+            "    blockDim.x = 256;\n"
+            "    for (blockIdx.x = 0; blockIdx.x * blockDim.x < len; blockIdx.x++)\n"
+            "        for (threadIdx.x = 0; threadIdx.x < blockDim.x; threadIdx.x++)\n"
+            f"            {unit.function_name}({', '.join(args)});\n"
+            "}\n")
+
+
+def assert_compiled_matches_oracle(spec, kernel, workdir, seed=0):
     c_path = workdir / f"{spec.name}.c"
     lib_path = workdir / f"lib{spec.name}.so"
-    c_path.write_text(
-        f"void {unit.function_name}({', '.join(params)})\n{{\n{unit.text}\n}}\n")
+    c_path.write_text("\n".join(c_source(spec, t) for t in TargetKind))
     built = subprocess.run(
         ["gcc", "-O2", "-ffp-contract=off", "-shared", "-fPIC",
          "-o", str(lib_path), str(c_path)],
         capture_output=True, text=True)
     assert built.returncode == 0, built.stderr
 
-    arrays = _inputs(spec, np.random.default_rng(seed))
-    originals = {n: a.copy() for n, a in arrays.items()}
+    originals = _inputs(spec, np.random.default_rng(seed))
     with np.errstate(all="ignore"):  # inf and nan are compared too
         expected = evaluate_sequential(
-            kernel, {v.name: arrays[v.name] for v in spec.array_ins}, N)
+            kernel, {v.name: originals[v.name] for v in spec.array_ins}, N)
 
-    fn = getattr(ctypes.CDLL(str(lib_path)), unit.function_name)
-    fn.argtypes = [ctypes.POINTER(_C_TYPES[v.element_type]) for v in spec.arrays] \
-        + [_C_TYPES[v.element_type] for v in spec.scalar_ins] \
-        + [ctypes.c_int, ctypes.c_int]
-    fn.restype = None
-    fn(*(arrays[v.name].ctypes.data_as(fn.argtypes[k])
-         for k, v in enumerate(spec.arrays)),
-       *(kernel.scalars[v.name] for v in spec.scalar_ins), 0, N)
+    lib = ctypes.CDLL(str(lib_path))
+    for target in TargetKind:
+        arrays = {n: a.copy() for n, a in originals.items()}
+        fn = getattr(lib, f"run_{target.value}")
+        fn.argtypes = [ctypes.POINTER(_C_TYPES[v.element_type]) for v in spec.arrays] \
+            + [_C_TYPES[v.element_type] for v in spec.scalar_ins] \
+            + [ctypes.c_int, ctypes.c_int]
+        fn.restype = None
+        fn(*(arrays[v.name].ctypes.data_as(fn.argtypes[k])
+             for k, v in enumerate(spec.arrays)),
+           *(kernel.scalars[v.name] for v in spec.scalar_ins), 0, N)
 
-    for name, array in arrays.items():
-        want = expected.get(name, originals[name])
-        assert array.tobytes() == want.tobytes(), name
+        for name, array in arrays.items():
+            want = expected.get(name, originals[name])
+            assert array.tobytes() == want.tobytes(), (target.value, name)
 
 
 @pytest.mark.parametrize("defn", kernel_catalog(), ids=lambda d: d.name)
