@@ -4,17 +4,42 @@
 Runs eight batches with an injected 10 ms cost per stage and draws the
 recorded stage trace as a small gantt chart: once the pipe fills, reading
 batch b+2, processing batch b+1, and writing batch b all happen at the same
-time, so the wall clock beats the serialized schedule by roughly 3x.
+time, so the wall clock beats the serialized schedule by roughly 3x. The cost
+is injected by a source, a kernel and a sink that each sleep once per batch.
 """
 
+import time
 from pathlib import Path
 
 from hstream.bench import build_kernel, kernel_def
 from hstream.pdl import parse_pdl_file
-from hstream.pipeline import GeneratedSource, MemorySink, StageDelays, run_pipeline
-from hstream.runtime import evaluate_sequential
+from hstream.pipeline import GeneratedSource, MemorySink, run_pipeline
+from hstream.runtime import ExecutableKernel, evaluate_sequential
 
 HERE = Path(__file__).resolve().parent
+DELAY = 0.010
+
+
+class SlowSource(GeneratedSource):
+    def read(self, max_elements):
+        count, arrays = super().read(max_elements)
+        if count:
+            time.sleep(DELAY)
+        return count, arrays
+
+
+class SlowKernel(ExecutableKernel):
+    """Each 4096-element batch here runs as one chunk, so one sleep per batch."""
+
+    def eval_into(self, arrays, length):
+        time.sleep(DELAY)
+        super().eval_into(arrays, length)
+
+
+class SlowSink(MemorySink):
+    def write(self, batch):
+        time.sleep(DELAY)
+        super().write(batch)
 
 
 def banner(title):
@@ -44,19 +69,18 @@ def gantt(trace, width=60):
 
 def main():
     platform = parse_pdl_file(HERE / "platforms" / "disa.pdl")
-    _, kernel = build_kernel(kernel_def("TRIAD"))
+    spec, plain = build_kernel(kernel_def("TRIAD"))
+    kernel = SlowKernel.from_kernel_spec(spec, plain.scalars)
 
     batches = 8
     batch_elements = 4096
-    delay = 0.010
-    source = GeneratedSource(kernel.input_arrays, batches * batch_elements, seed=7)
-    sink = MemorySink()
+    source = SlowSource(kernel.input_arrays, batches * batch_elements, seed=7)
+    sink = SlowSink()
 
     banner("Eight batches, 10 ms injected per stage, queues bounded at 2")
     stats, trace = run_pipeline(source, kernel, platform,
-                                batch_elements=batch_elements, sink=sink,
-                                stage_delays=StageDelays(delay, delay, delay))
-    serialized = 3 * delay * batches
+                                batch_elements=batch_elements, sink=sink)
+    serialized = 3 * DELAY * batches
     print(f"  wall {stats.wall_time * 1000:.0f} ms vs "
           f"{serialized * 1000:.0f} ms fully serialized")
     overlaps = trace.overlapping_write_process_pairs()
@@ -70,7 +94,7 @@ def main():
     banner("Output verified against one sequential pass")
     inputs = GeneratedSource(kernel.input_arrays,
                              batches * batch_elements, seed=7).read_all()
-    expected = evaluate_sequential(kernel, inputs)
+    expected = evaluate_sequential(plain, inputs)
     got = sink.arrays()
     same = got["a"].tobytes() == expected["a"].tobytes()
     print(f"  concatenated sink output bitwise-equal: {same}")

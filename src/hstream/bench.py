@@ -118,6 +118,8 @@ def resolve_config(platform: PlatformDescription, name: str) -> DeviceIds:
                 f"configuration '{name}' wants {want} gpus, platform "
                 f"'{platform.name}' has {len(gpus)}")
         ids.extend(pu.id for pu in gpus[:want])
+    if not ids:
+        raise ResolveError(f"configuration '{name}' names no processing units")
     return DeviceIds(tuple(ids))
 
 

@@ -4,10 +4,11 @@ Exactly three stage workers connected by bounded blocking queues realize the
 model: the producer reads batches from a source and notifies the processor;
 the processor distributes each batch's index space across the engaged units;
 the store writes finished batches out strictly in sequence order. Bounded
-queues give back-pressure, so at most `queue_capacity` batches sit between
+queues give back-pressure, so at most `QUEUE_CAPACITY` batches sit between
 any two stages and a slow consumer stalls the producer instead of growing
 memory. Stages overlap across batches: while batch b is being written,
-batch b+1 may be processing and batch b+2 may be being read.
+batch b+1 may be processing and batch b+2 may be being read. The first error
+in any stage stops every stage at its next batch.
 
 Stream files are raw little-endian element records; a record holds one element
 per named array, in array order, so multi-input kernels stream as interleaved
@@ -40,7 +41,7 @@ from hstream.ir import (
 from hstream.pdl import PlatformDescription, resolve_devices
 from hstream.runtime import AUTO_MIN_BYTES, ExecutableKernel, RunStats, execute
 
-DEFAULT_QUEUE_CAPACITY = 2
+QUEUE_CAPACITY = 2
 
 
 # --- Batches -------------------------------------------------------------------
@@ -58,15 +59,6 @@ class ProcessedBatch:
     outputs: dict[str, np.ndarray]
     length: int
     stats: RunStats
-
-
-@dataclass(frozen=True)
-class StageDelays:
-    """Injected per-batch stage durations, for scheduling experiments/tests."""
-
-    read: float = 0.0
-    process: float = 0.0
-    write: float = 0.0
 
 
 class StageTrace:
@@ -235,10 +227,6 @@ class MemorySink:
     def close(self) -> None:
         pass
 
-    @property
-    def seqs(self) -> list[int]:
-        return [b.seq for b in self.batches]
-
     def arrays(self) -> dict[str, np.ndarray]:
         if not self.batches:
             return {}
@@ -319,95 +307,66 @@ def default_batch_elements(kernel: ExecutableKernel,
 _DONE = object()
 
 
-def _put(q: queue.Queue, item, cancel: threading.Event) -> bool:
-    while True:
-        try:
-            q.put(item, timeout=0.05)
-            return True
-        except queue.Full:
-            if cancel.is_set():
-                return False
+def _received(inbox: queue.Queue, errors: list[BaseException]) -> Iterator:
+    """Items from `inbox` up to the end marker. Once any stage has failed, the
+    rest are taken but not handed on, so the stage that fills `inbox` never
+    blocks on a full queue."""
+    for item in iter(inbox.get, _DONE):
+        if not errors:
+            yield item
 
 
-def _get(q: queue.Queue, cancel: threading.Event):
-    while True:
-        try:
-            return q.get(timeout=0.05)
-        except queue.Empty:
-            if cancel.is_set():
-                return _DONE
-
-
-def _drain(q: queue.Queue, cancel: threading.Event) -> Iterator:
-    """Items from `q` up to the upstream stage's end marker, or until the run
-    is cancelled and the queue is empty."""
-    while (item := _get(q, cancel)) is not _DONE:
-        yield item
-
-
-def _run_stage(body, args, downstream: Optional[queue.Queue],
-               cancel: threading.Event, errors: list[BaseException],
-               errors_lock: threading.Lock) -> None:
-    """Thread target for one stage: `body(*args)`, whose first exception
-    cancels the whole run; the stage's output queue always ends with the end
-    marker, so the next stage finishes too."""
+def _run_stage(body, inbox: Iterable, outbox: Optional[queue.Queue],
+               errors: list[BaseException], errors_lock: threading.Lock) -> None:
+    """Thread target for one stage: `body()`, whose exception is recorded for
+    run_pipeline to raise. A failed stage still drains `inbox` (a `_received`
+    iterator, or nothing for the reader), and `outbox` always ends with the end
+    marker, so every other stage runs to its end too."""
     try:
-        body(*args)
+        body()
     except BaseException as exc:
         with errors_lock:
             errors.append(exc)
-        cancel.set()
+        for _ in inbox:
+            pass
     finally:
-        if downstream is not None:
-            _put(downstream, _DONE, cancel)
+        if outbox is not None:
+            outbox.put(_DONE)
 
 
 def _read_stage(batches: Iterator[Batch], to_process: queue.Queue,
-                trace: StageTrace, delays: StageDelays,
-                cancel: threading.Event) -> None:
-    begin = time.monotonic()
-    for batch in batches:
-        if delays.read:
-            time.sleep(delays.read)
-        trace.record(batch.seq, "read", begin, time.monotonic())
-        if cancel.is_set() or not _put(to_process, batch, cancel):
-            return
+                trace: StageTrace, errors: list[BaseException]) -> None:
+    while not errors:
         begin = time.monotonic()
+        batch = next(batches, None)
+        if batch is None:
+            return
+        trace.record(batch.seq, "read", begin, time.monotonic())
+        to_process.put(batch)
 
 
-def _process_stage(step, to_process: queue.Queue, to_store: queue.Queue,
-                   trace: StageTrace, delays: StageDelays,
-                   cancel: threading.Event) -> None:
-    for batch in _drain(to_process, cancel):
+def _process_stage(step, batches: Iterator[Batch], to_store: queue.Queue,
+                   trace: StageTrace) -> None:
+    for batch in batches:
         begin = time.monotonic()
         result = step(batch)
-        if delays.process:
-            time.sleep(delays.process)
         trace.record(batch.seq, "process", begin, time.monotonic())
-        if not _put(to_store, result, cancel):
-            return
+        to_store.put(result)
 
 
 class _RecordingSink:
     """Times each write into the trace and keeps only (stats, length) per
     batch, never the batch arrays."""
 
-    def __init__(self, sink, trace: StageTrace, delays: StageDelays,
+    def __init__(self, sink, trace: StageTrace,
                  written: list[tuple[RunStats, int]]):
-        self.sink, self.trace, self.delays, self.written = sink, trace, delays, written
+        self.sink, self.trace, self.written = sink, trace, written
 
     def write(self, batch: ProcessedBatch) -> None:
         begin = time.monotonic()
         self.sink.write(batch)
-        if self.delays.write:
-            time.sleep(self.delays.write)
         self.trace.record(batch.seq, "write", begin, time.monotonic())
         self.written.append((batch.stats, batch.length))
-
-
-def _write_stage(to_store: queue.Queue, sink: _RecordingSink,
-                 cancel: threading.Event) -> None:
-    store(_drain(to_store, cancel), sink)
 
 
 def run_pipeline(source: StreamSource, kernel: ExecutableKernel,
@@ -417,8 +376,6 @@ def run_pipeline(source: StreamSource, kernel: ExecutableKernel,
                  batch_elements: Optional[int] = None,
                  sink=None,
                  *,
-                 queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
-                 stage_delays: Optional[StageDelays] = None,
                  pace: bool = False) -> tuple[RunStats, StageTrace]:
     """Run the full producer/processor/store pipeline over a stream.
 
@@ -426,10 +383,10 @@ def run_pipeline(source: StreamSource, kernel: ExecutableKernel,
     convention) and the stage trace. Unpaced, the wall time spans the whole
     pipeline on the host; paced, it is the sum of the batches' modelled
     makespans, since the processor runs one batch at a time.
-    A batch size below 1 raises ValueError before any stage starts. Any stage
-    error cancels the others and re-raises as PipelineError, except that
-    running out of memory, a fault of the host rather than of the stream,
-    stays a MemoryError.
+    A batch size below 1 raises ValueError before any stage starts. The first
+    stage error stops every stage at its next batch and re-raises as
+    PipelineError, except that running out of memory, a fault of the host
+    rather than of the stream, stays a MemoryError.
     """
     if sink is None:
         sink = DiscardSink()
@@ -437,30 +394,30 @@ def run_pipeline(source: StreamSource, kernel: ExecutableKernel,
         batch_elements = default_batch_elements(kernel, platform, device,
                                                 scheduling)
     batches = produce(source, batch_elements)
-    delays = stage_delays or StageDelays()
     trace = StageTrace()
-    to_process: queue.Queue = queue.Queue(maxsize=queue_capacity)
-    to_store: queue.Queue = queue.Queue(maxsize=queue_capacity)
-    cancel = threading.Event()
+    to_process: queue.Queue = queue.Queue(maxsize=QUEUE_CAPACITY)
+    to_store: queue.Queue = queue.Queue(maxsize=QUEUE_CAPACITY)
     errors: list[BaseException] = []
     errors_lock = threading.Lock()
     written: list[tuple[RunStats, int]] = []
     step = functools.partial(process, kernel=kernel, platform=platform,
                              device=device, scheduling=scheduling, pace=pace)
+    processing = _received(to_process, errors)
+    storing = _received(to_store, errors)
 
     stages = [
-        ("reader", _read_stage, (batches, to_process, trace, delays, cancel),
-         to_process),
-        ("processor", _process_stage,
-         (step, to_process, to_store, trace, delays, cancel), to_store),
-        ("writer", _write_stage,
-         (to_store, _RecordingSink(sink, trace, delays, written), cancel), None),
+        ("reader", functools.partial(_read_stage, batches, to_process, trace,
+                                     errors), (), to_process),
+        ("processor", functools.partial(_process_stage, step, processing,
+                                        to_store, trace), processing, to_store),
+        ("writer", functools.partial(store, storing,
+                                     _RecordingSink(sink, trace, written)),
+         storing, None),
     ]
     threads = [threading.Thread(target=_run_stage, name=f"hstream-{name}",
-                                args=(body, args, downstream, cancel, errors,
-                                      errors_lock),
+                                args=(body, inbox, outbox, errors, errors_lock),
                                 daemon=True)
-               for name, body, args, downstream in stages]
+               for name, body, inbox, outbox in stages]
     started = time.monotonic()
     for t in threads:
         t.start()

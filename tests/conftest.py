@@ -1,11 +1,14 @@
-"""Shared fixtures: repository paths, a reference platform, compiled kernels."""
+"""Shared fixtures: repository paths, a reference platform, compiled kernels,
+and slow stage doubles for pipeline timing tests."""
 
+import time
 from pathlib import Path
 
 import pytest
 
 from hstream.frontend import compile_source
 from hstream.pdl import parse_pdl
+from hstream.pipeline import MemorySink
 from hstream.runtime import ExecutableKernel
 
 REPO = Path(__file__).resolve().parent.parent
@@ -53,3 +56,26 @@ def triad_spec():
 @pytest.fixture()
 def triad_kernel(triad_spec):
     return ExecutableKernel.from_kernel_spec(triad_spec, {"scalar": 3.0})
+
+
+class SlowKernel(ExecutableKernel):
+    """Sleeps `delay` seconds before each evaluation, so a batch evaluated as
+    one chunk costs the processing stage that much more."""
+
+    delay = 0.0
+
+    def eval_into(self, arrays, length):
+        time.sleep(self.delay)
+        super().eval_into(arrays, length)
+
+
+class SlowSink(MemorySink):
+    """A MemorySink whose every write first sleeps `delay` seconds."""
+
+    def __init__(self, delay):
+        super().__init__()
+        self.delay = delay
+
+    def write(self, batch):
+        time.sleep(self.delay)
+        super().write(batch)

@@ -27,21 +27,16 @@ from hstream.errors import CompileError
 from hstream.frontend import compile_file, compile_source
 from hstream.ir import UniformSchedule
 from hstream.pdl import parse_pdl
-from hstream.pipeline import (
-    MemorySink,
-    ProcessedBatch,
-    StageDelays,
-    run_pipeline,
-    store,
+from hstream.pipeline import MemorySink, ProcessedBatch, run_pipeline, store
+from hstream.runtime import RunStats, SharedCursor, evaluate_sequential, execute
+from tests.conftest import (
+    DISA_PDL,
+    GOLDEN,
+    INVALID,
+    PROGRAMS,
+    SlowKernel,
+    SlowSink,
 )
-from hstream.runtime import (
-    ExecutableKernel,
-    RunStats,
-    SharedCursor,
-    evaluate_sequential,
-    execute,
-)
-from tests.conftest import DISA_PDL, GOLDEN, INVALID, PROGRAMS
 
 
 def _announce(number, text):
@@ -189,26 +184,29 @@ def test_criterion_5_pipeline_overlap_and_ordering():
       <pu id="0" type="cpu" cores="2" threads="4" frequency_ghz="2" memory_gb="16"/>
     </platform>""")
     src = "double a[8];\ndouble b[8];\n#pragma hstream in(b) out(a)\n{\n    a = b;\n}\n"
-    kernel = ExecutableKernel.from_kernel_spec(
-        compile_source(src, "Copy").kernels[0])
+    delay = 0.010
+    batches = 8
+    # each 16-element batch is one chunk, so one sleep per batch and stage
+    kernel = SlowKernel.from_kernel_spec(compile_source(src, "Copy").kernels[0])
+    kernel.delay = delay
 
     class Source:
         names = ("b",)
 
         def __init__(self):
-            self.remaining = 8 * 16
+            self.remaining = batches * 16
 
         def read(self, max_elements):
             count = min(self.remaining, max_elements)
+            if not count:
+                return 0, {}
+            time.sleep(delay)
             self.remaining -= count
-            return count, ({"b": np.ones(count)} if count else {})
+            return count, {"b": np.ones(count)}
 
-    delay = 0.010
-    batches = 8
     started = time.monotonic()
     _, trace = run_pipeline(Source(), kernel, platform, batch_elements=16,
-                            sink=MemorySink(),
-                            stage_delays=StageDelays(delay, delay, delay))
+                            sink=SlowSink(delay))
     wall = time.monotonic() - started
     serialized = 3 * delay * batches
     assert trace.seqs == list(range(batches))
@@ -225,7 +223,7 @@ def test_criterion_5_pipeline_overlap_and_ordering():
         rng.shuffle(items)
         sink = MemorySink()
         store(items, sink)
-        assert sink.seqs == list(range(count))
+        assert [b.seq for b in sink.batches] == list(range(count))
     _announce(5, f"overlapped wall {wall * 1000:.0f} ms < "
                  f"{0.75 * serialized * 1000:.0f} ms bound; order preserved "
                  f"across 100 schedules")

@@ -124,8 +124,9 @@ def test_config_wanting_too_many_gpus():
 
 
 def test_config_gibberish_rejected():
-    with pytest.raises(ResolveError):
-        resolve_config(small_platform(), "TPU")
+    for name in ("TPU", "0GPUs"):
+        with pytest.raises(ResolveError):
+            resolve_config(small_platform(), name)
 
 
 # --- plans and sweeps ------------------------------------------------------------

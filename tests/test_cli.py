@@ -304,8 +304,8 @@ def test_bench_unknown_plan_key(tmp_path, pdl_file, capsys):
 
 
 @pytest.mark.parametrize("entry", [
-    "kernels=nope", "configs=CPU,7GPUs", "streams_mb=-1", "chunks_mb=0",
-    "batch_mb=-3"])
+    "kernels=nope", "configs=CPU,7GPUs", "configs=CPU,0GPUs", "streams_mb=-1",
+    "chunks_mb=0", "batch_mb=-3"])
 def test_bench_rejects_a_bad_plan_before_any_cell(tmp_path, pdl_file, capsys,
                                                   entry):
     code, _, err = run_cli(capsys, "bench", "--pdl", pdl_file,

@@ -6,6 +6,9 @@ built serially into one shared library, each behind a C function that takes
 the kernel's arrays, its scalars, `start` and `finish`, and each is called
 through ctypes over 10,007 elements. Every output must equal
 `evaluate_sequential` bitwise, and every other array must be left as it was.
+Each array holds random canary elements on both sides of that range, which
+must be left as they were too, so a fragment that overruns its range fails
+its test instead of corrupting the heap.
 
 gcc builds the CUDA kernel as plain C: `__global__` is defined away,
 `threadIdx`, `blockIdx` and `blockDim` are host globals, and a host loop runs
@@ -36,6 +39,9 @@ pytestmark = pytest.mark.skipif(shutil.which("gcc") is None,
                                 reason="no C compiler")
 
 N = 10_007
+# canaries on each side of the range: the CUDA shim's last block runs up to
+# 255 threads past the end
+PAD = 256
 _C_TYPES = {ElementType.INT: ctypes.c_int, ElementType.DOUBLE: ctypes.c_double}
 
 CUDA_SHIM = """\
@@ -44,19 +50,18 @@ static struct { int x; } threadIdx, blockIdx, blockDim;
 """
 
 
+def _random(element_type, rng, n):
+    if element_type is ElementType.INT:
+        return rng.integers(-100, 100, n, dtype=element_type.numpy_dtype)
+    # Full mantissas over many binades, so sums round and a changed
+    # evaluation order shows in the bits.
+    return rng.standard_normal(n) * np.exp2(rng.integers(-16, 17, n))
+
+
 def _inputs(spec, rng):
-    arrays = {}
-    for v in spec.arrays:
-        dtype = v.element_type.numpy_dtype
-        if v not in spec.array_ins:
-            arrays[v.name] = np.zeros(N, dtype=dtype)
-        elif v.element_type is ElementType.INT:
-            arrays[v.name] = rng.integers(-100, 100, N, dtype=dtype)
-        else:
-            # Full mantissas over many binades, so sums round and a changed
-            # evaluation order shows in the bits.
-            arrays[v.name] = rng.standard_normal(N) * np.exp2(rng.integers(-16, 17, N))
-    return arrays
+    return {v.name: _random(v.element_type, rng, N) if v in spec.array_ins
+            else np.zeros(N, dtype=v.element_type.numpy_dtype)
+            for v in spec.arrays}
 
 
 def c_source(spec, target):
@@ -91,14 +96,20 @@ def assert_compiled_matches_oracle(spec, kernel, workdir, seed=0):
         capture_output=True, text=True)
     assert built.returncode == 0, built.stderr
 
-    originals = _inputs(spec, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    originals = _inputs(spec, rng)
     with np.errstate(all="ignore"):  # inf and nan are compared too
         expected = evaluate_sequential(
             kernel, {v.name: originals[v.name] for v in spec.array_ins}, N)
+    padded = {v.name: np.concatenate([_random(v.element_type, rng, PAD),
+                                      originals[v.name],
+                                      _random(v.element_type, rng, PAD)])
+              for v in spec.arrays}
+    outside = np.r_[:PAD, PAD + N:N + 2 * PAD]
 
     lib = ctypes.CDLL(str(lib_path))
     for target in TargetKind:
-        arrays = {n: a.copy() for n, a in originals.items()}
+        arrays = {n: a.copy() for n, a in padded.items()}
         fn = getattr(lib, f"run_{target.value}")
         fn.argtypes = [ctypes.POINTER(_C_TYPES[v.element_type]) for v in spec.arrays] \
             + [_C_TYPES[v.element_type] for v in spec.scalar_ins] \
@@ -106,11 +117,13 @@ def assert_compiled_matches_oracle(spec, kernel, workdir, seed=0):
         fn.restype = None
         fn(*(arrays[v.name].ctypes.data_as(fn.argtypes[k])
              for k, v in enumerate(spec.arrays)),
-           *(kernel.scalars[v.name] for v in spec.scalar_ins), 0, N)
+           *(kernel.scalars[v.name] for v in spec.scalar_ins), PAD, PAD + N)
 
         for name, array in arrays.items():
             want = expected.get(name, originals[name])
-            assert array.tobytes() == want.tobytes(), (target.value, name)
+            assert array[PAD:PAD + N].tobytes() == want.tobytes(), (target.value, name)
+            assert array[outside].tobytes() == padded[name][outside].tobytes(), (
+                target.value, name, "canary overwritten")
 
 
 @pytest.mark.parametrize("defn", kernel_catalog(), ids=lambda d: d.name)

@@ -1,7 +1,10 @@
 """Streaming pipeline: batching, ordering, overlap, back-pressure, errors."""
 
 import gc
+import itertools
 import random
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -13,6 +16,7 @@ from hstream.frontend import compile_file, compile_source
 from hstream.ir import ALL_DEVICES, ElementType, UniformSchedule
 from hstream.pdl import parse_pdl, parse_pdl_file
 from hstream.pipeline import (
+    QUEUE_CAPACITY,
     Batch,
     DiscardSink,
     FileSink,
@@ -20,7 +24,6 @@ from hstream.pipeline import (
     GeneratedSource,
     MemorySink,
     ProcessedBatch,
-    StageDelays,
     default_batch_elements,
     process,
     produce,
@@ -28,7 +31,14 @@ from hstream.pipeline import (
     store,
 )
 from hstream.runtime import ExecutableKernel, RunStats, evaluate_sequential
-from tests.conftest import DISA_PDL, PLATFORMS, PROGRAMS, TRIAD_SOURCE
+from tests.conftest import (
+    DISA_PDL,
+    PLATFORMS,
+    PROGRAMS,
+    TRIAD_SOURCE,
+    SlowKernel,
+    SlowSink,
+)
 
 SMALL_PLATFORM = """<platform name="small">
   <pu id="0" type="cpu" cores="2" threads="4" frequency_ghz="2" memory_gb="16"/>
@@ -41,24 +51,27 @@ def triad_kernel():
     return ExecutableKernel.from_kernel_spec(spec, {"scalar": 3.0})
 
 
-def copy_kernel():
+def copy_kernel(kind=ExecutableKernel):
     src = "double a[8];\ndouble b[8];\n#pragma hstream in(b) out(a)\n{\n    a = b;\n}\n"
     spec = compile_source(src, "Copy").kernels[0]
-    return ExecutableKernel.from_kernel_spec(spec)
+    return kind.from_kernel_spec(spec)
 
 
 class ListSource:
-    """Deterministic in-memory source for small structural tests."""
+    """Deterministic in-memory source for small structural tests; each batch
+    read first sleeps `delay` seconds."""
 
-    def __init__(self, names, total, fill=1.0):
+    def __init__(self, names, total, fill=1.0, delay=0.0):
         self.names = tuple(names)
         self.remaining = total
         self.fill = fill
+        self.delay = delay
 
     def read(self, max_elements):
         count = min(self.remaining, max_elements)
         if count == 0:
             return 0, {}
+        time.sleep(self.delay)
         self.remaining -= count
         return count, {n: np.full(count, self.fill) for n in self.names}
 
@@ -126,7 +139,7 @@ def test_process_copy_is_identity():
 def test_store_reorders_by_seq():
     sink = MemorySink()
     store([fake_processed(1), fake_processed(0), fake_processed(2)], sink)
-    assert sink.seqs == [0, 1, 2]
+    assert [b.seq for b in sink.batches] == [0, 1, 2]
 
 
 def test_store_order_preserved_for_random_schedules():
@@ -138,7 +151,7 @@ def test_store_order_preserved_for_random_schedules():
         rng.shuffle(items)
         sink = MemorySink()
         store(items, sink)
-        assert sink.seqs == list(range(n))
+        assert [b.seq for b in sink.batches] == list(range(n))
 
 
 def test_store_detects_missing_batch():
@@ -149,7 +162,7 @@ def test_store_detects_missing_batch():
 def test_store_zero_batches():
     sink = MemorySink()
     assert store([], sink) == 0
-    assert sink.seqs == []
+    assert sink.batches == []
 
 
 def test_discard_sink_drops_everything():
@@ -229,11 +242,11 @@ def test_pipeline_frees_its_sink_and_source_on_return():
 
 def test_pipeline_overlaps_write_with_next_process():
     platform = parse_pdl(SMALL_PLATFORM)
-    kern = copy_kernel()
+    kern = copy_kernel(SlowKernel)
+    kern.delay = 0.02  # each 64-element batch is one chunk: one sleep per batch
     stats, trace = run_pipeline(
-        ListSource(("b",), 3 * 64), kern, platform,
-        scheduling=UniformSchedule(64), batch_elements=64, sink=MemorySink(),
-        stage_delays=StageDelays(read=0.02, process=0.02, write=0.02))
+        ListSource(("b",), 3 * 64, delay=0.02), kern, platform,
+        scheduling=UniformSchedule(64), batch_elements=64, sink=SlowSink(0.02))
     assert trace.stage_ordering_ok()
     assert trace.overlapping_write_process_pairs()  # at least one (b, b+1)
 
@@ -262,14 +275,12 @@ def test_pipeline_zero_batches_creates_empty_output(tmp_path):
 def test_pipeline_back_pressure_bounds_read_ahead():
     platform = parse_pdl(SMALL_PLATFORM)
     kern = copy_kernel()
-    capacity = 1
     _, trace = run_pipeline(
-        ListSource(("b",), 8 * 16), kern, platform,
-        batch_elements=16, sink=MemorySink(), queue_capacity=capacity,
-        stage_delays=StageDelays(read=0.0, process=0.0, write=0.03))
+        ListSource(("b",), 12 * 16), kern, platform,
+        batch_elements=16, sink=SlowSink(0.03))
     # queue occupancy bound: reads finished can lead writes started by at most
-    # 2 queues + 3 in-flight batches
-    bound = 2 * capacity + 3
+    # 2 queues + 3 in-flight batches; 12 batches leave seqs 7..11 to check
+    bound = 2 * QUEUE_CAPACITY + 3
     for seq in trace.seqs:
         if seq - bound >= 0:
             read_end = trace.span(seq, "read")[1]
@@ -300,7 +311,7 @@ def test_pipeline_rejects_bad_batch_size_before_starting(batch_elements):
         run_pipeline(source, copy_kernel(), platform,
                      batch_elements=batch_elements, sink=sink)
     assert source.remaining == 1000  # nothing was read
-    assert sink.seqs == []
+    assert sink.batches == []
 
 
 def test_pipeline_error_in_source_propagates():
@@ -315,6 +326,53 @@ def test_pipeline_error_in_source_propagates():
     with pytest.raises(PipelineError, match="stream vanished"):
         run_pipeline(FailingSource(), copy_kernel(), platform,
                      batch_elements=16, sink=MemorySink())
+
+
+def failing_on_call(k, method, message):
+    """`method`, except that its call number k (from 0) raises instead."""
+    calls = itertools.count()
+
+    def wrapped(*args):
+        if next(calls) == k:
+            raise RuntimeError(message)
+        return method(*args)
+    return wrapped
+
+
+@pytest.mark.parametrize("k", [0, 9, 19])
+@pytest.mark.parametrize("stage", ["reader", "processor", "writer"])
+def test_pipeline_stage_failure_at_batch_k_stops_every_stage(stage, k):
+    # 20 batches are more than the queues and stages hold, so a stage that
+    # kept going, or one left waiting for an end marker, would show here
+    platform = parse_pdl(SMALL_PLATFORM)
+    batches = 20
+    source, kern, sink = ListSource(("b",), batches * 16), copy_kernel(), MemorySink()
+    # each 16-element batch is one chunk: one read, evaluation and write each
+    target, method = {"reader": (source, "read"), "processor": (kern, "eval_into"),
+                      "writer": (sink, "write")}[stage]
+    setattr(target, method,
+            failing_on_call(k, getattr(target, method), f"{stage} broke"))
+    raised = []
+
+    def run():
+        try:
+            run_pipeline(source, kern, platform, batch_elements=16, sink=sink)
+        except PipelineError as exc:
+            raised.append(exc)
+
+    helper = threading.Thread(target=run, daemon=True)
+    helper.start()
+    helper.join(timeout=60)
+    assert not helper.is_alive(), "the pipeline hung after a stage failed"
+    assert [str(e) for e in raised] == [f"pipeline failed in flight: {stage} broke"]
+    assert not [t.name for t in threading.enumerate()
+                if t.name.startswith("hstream-")]
+    written = [b.seq for b in sink.batches]
+    assert written == list(range(len(written))) and len(written) <= k
+    # the reader stops no further past the failing batch than the two queues
+    # and the three stages can hold
+    read = batches - source.remaining // 16
+    assert read <= k + 2 * QUEUE_CAPACITY + 3
 
 
 # --- sources and sinks --------------------------------------------------------------
