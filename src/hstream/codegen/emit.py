@@ -28,13 +28,11 @@ class TargetKind(Enum):
     CUDA = "cuda"
     LEO = "leo"
 
-    @property
-    def file_suffix(self) -> str:
-        return {"openmp": "_omp.c", "cuda": "_cuda.cu", "leo": "_leo.c"}[self.value]
-
-    @property
-    def symbol_prefix(self) -> str:
-        return {"openmp": "CPU_", "cuda": "GPU_", "leo": "MIC_"}[self.value]
+    def __init__(self, value: str):
+        # Plain attributes, since an enum's `value` is a Python-level
+        # property and every generator reads the prefix.
+        self.file_suffix = {"openmp": "_omp.c", "cuda": "_cuda.cu", "leo": "_leo.c"}[value]
+        self.symbol_prefix = {"openmp": "CPU_", "cuda": "GPU_", "leo": "MIC_"}[value]
 
 
 ALL_TARGETS = (TargetKind.OPENMP, TargetKind.CUDA, TargetKind.LEO)
@@ -53,10 +51,17 @@ def _indent(text: str, column: int) -> str:
 
 
 def _body_lines(kernel: KernelSpec, index_symbol: str) -> str:
+    """The body's C statements indexed by `index_symbol`, rendered once per
+    kernel and symbol: the OpenMP and LEO loops share `i`."""
+    text = kernel.body_texts.get(index_symbol)
+    if text is None:
+        text = kernel.body_texts[index_symbol] = _render_body(kernel, index_symbol)
+    return text
+
+
+def _render_body(kernel: KernelSpec, index_symbol: str) -> str:
     # A block-local shadows a clause array of the same name.
-    indexed = frozenset(
-        v.name for v in (*kernel.ins, *kernel.outs) if v.is_elementwise
-    ) - kernel.local_names
+    indexed = frozenset(v.name for v in kernel.arrays) - kernel.local_names
 
     def name(n: str) -> str:
         return f"{n}[{index_symbol}]" if n in indexed else n

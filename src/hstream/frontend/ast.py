@@ -6,7 +6,7 @@ yields a structurally identical tree (positions excluded from equality).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional, Union
 
 from hstream.ir import (
@@ -19,10 +19,11 @@ from hstream.ir import (
     UniformSchedule,
     VarKind,
     format_expr,
+    syntax_node,
 )
 
 
-@dataclass(frozen=True)
+@syntax_node
 class VarRef:
     """A clause operand; stream refs carry their `name:type` annotation."""
 
@@ -32,35 +33,35 @@ class VarRef:
     col: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@syntax_node
 class InClause:
     refs: tuple[VarRef, ...]
     line: int = field(default=0, compare=False)
     col: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@syntax_node
 class OutClause:
     refs: tuple[VarRef, ...]
     line: int = field(default=0, compare=False)
     col: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@syntax_node
 class InOutClause:
     refs: tuple[VarRef, ...]
     line: int = field(default=0, compare=False)
     col: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@syntax_node
 class DeviceClause:
     selector: DeviceSelector
     line: int = field(default=0, compare=False)
     col: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@syntax_node
 class SchedulingClause:
     spec: SchedulingSpec
     line: int = field(default=0, compare=False)
@@ -70,7 +71,7 @@ class SchedulingClause:
 Clause = Union[InClause, OutClause, InOutClause, DeviceClause, SchedulingClause]
 
 
-@dataclass(frozen=True)
+@syntax_node
 class Declaration:
     name: str
     element_type: ElementType
@@ -80,7 +81,7 @@ class Declaration:
     col: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@syntax_node
 class Assignment:
     target: str
     expr: Expr
@@ -91,7 +92,7 @@ class Assignment:
 BodyItem = Union[Declaration, Assignment]
 
 
-@dataclass(frozen=True)
+@syntax_node
 class DirectiveNode:
     clauses: tuple[Clause, ...]
     body: tuple[BodyItem, ...]
@@ -102,7 +103,7 @@ class DirectiveNode:
 TopItem = Union[Declaration, Assignment, DirectiveNode]
 
 
-@dataclass(frozen=True)
+@syntax_node
 class Program:
     items: tuple[TopItem, ...]
 

@@ -1,16 +1,19 @@
 """Tokenizer for the C-like host subset plus the stream pragma.
 
+One table of token patterns, compiled into a single alternation, is matched
+at each position; the name of the group that matched is the token's kind.
 Comments and whitespace are consumed, never emitted. Positions are 1-based.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 
 from hstream import errors
 from hstream.errors import CompileError
+from hstream.ir import syntax_node
 
 
 class TokenKind(Enum):
@@ -20,20 +23,35 @@ class TokenKind(Enum):
     KEYWORD = "keyword"
     PUNCT = "punctuation"
     PRAGMA = "pragma"  # the `#pragma hstream` introducer
+    END = "end of input"  # the parser's sentinel; never produced by `lex`
 
 
-KEYWORDS = {"int", "double", "stream"}
-
-# Single-character punctuation only; the grammar needs nothing longer.
-PUNCT_CHARS = set(";,(){}[]:=+-*/<>")
-
-_FLOAT_RE = re.compile(r"\d+\.\d+([eE][+-]?\d+)?")
-_INT_RE = re.compile(r"\d+")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# (group, pattern), tried in order after any run of blanks. A group named
+# after a TokenKind makes a token of that kind; `skip` (line breaks, comments
+# and the end of input) makes none; the rest only lead to a diagnostic, so
+# that some group matches at every position. Punctuation is single
+# characters only: the grammar needs nothing longer.
+_TOKEN_PATTERNS = (
+    ("skip", r"\n[ \t\r\n]*|//[^\n]*|/\*.*?\*/|\Z"),
+    ("unterminated", r"/\*"),
+    ("PRAGMA", r"\#pragma(?![A-Za-z_])[ \t]*hstream(?![A-Za-z_])"),
+    ("hash", r"\#"),
+    ("FLOAT", r"\d+\.\d+(?:[eE][+-]?\d+)?"),
+    ("INT", r"\d+"),
+    ("KEYWORD", r"(?:int|double|stream)(?![A-Za-z0-9_])"),
+    ("IDENT", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("PUNCT", r"[;,(){}\[\]:=+\-*/<>]"),
+    ("illegal", r"."),
+)
+_TOKEN_RE = re.compile(
+    r"[ \t\r]*(?:" + "|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_PATTERNS) + ")",
+    re.DOTALL)
+# The kinds whose lexeme is the matched text.
+_KINDS = {name: TokenKind[name] for name in ("FLOAT", "INT", "KEYWORD", "IDENT", "PUNCT")}
 _WORD_RE = re.compile(r"[A-Za-z_]+")
 
 
-@dataclass(frozen=True)
+@syntax_node
 class Token:
     kind: TokenKind
     lexeme: str
@@ -47,82 +65,44 @@ class Token:
 def lex(source: str) -> list[Token]:
     """Tokenize source text; raises CompileError on an illegal construct."""
     tokens: list[Token] = []
-    pos = 0
+    append = tokens.append
+    kinds = _KINDS
     line = 1
     line_start = 0
-    n = len(source)
-
-    def col() -> int:
-        return pos - line_start + 1
-
-    def error(code: str, message: str) -> CompileError:
-        return CompileError.single(line, col(), code, message)
-
-    while pos < n:
-        ch = source[pos]
-
-        if ch == "\n":
-            pos += 1
-            line += 1
-            line_start = pos
-            continue
-        if ch in " \t\r":
-            pos += 1
-            continue
-
-        if source.startswith("//", pos):
-            nl = source.find("\n", pos)
-            pos = n if nl < 0 else nl
-            continue
-        if source.startswith("/*", pos):
-            end = source.find("*/", pos + 2)
-            if end < 0:
-                raise error(errors.SYNTAX, "unterminated block comment")
-            for i in range(pos, end):
-                if source[i] == "\n":
-                    line += 1
-                    line_start = i + 1
-            pos = end + 2
-            continue
-
-        if ch == "#":
-            start_col = col()
-            m = _WORD_RE.match(source, pos + 1)
-            if not m or m.group() != "pragma":
-                raise error(errors.ILLEGAL_CHAR, "stray '#' (only '#pragma hstream' is recognized)")
-            after = m.end()
-            while after < n and source[after] in " \t":
-                after += 1
-            m2 = _WORD_RE.match(source, after)
-            if not m2 or m2.group() != "hstream":
-                got = m2.group() if m2 else "<end of line>"
-                raise error(errors.BAD_PRAGMA, f"unsupported pragma '{got}'")
-            tokens.append(Token(TokenKind.PRAGMA, "#pragma hstream", line, start_col))
-            pos = m2.end()
-            continue
-
-        m = _FLOAT_RE.match(source, pos)
-        if m:
-            tokens.append(Token(TokenKind.FLOAT, m.group(), line, col()))
-            pos = m.end()
-            continue
-        m = _INT_RE.match(source, pos)
-        if m:
-            tokens.append(Token(TokenKind.INT, m.group(), line, col()))
-            pos = m.end()
-            continue
-        m = _IDENT_RE.match(source, pos)
-        if m:
-            word = m.group()
-            kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, word, line, col()))
-            pos = m.end()
-            continue
-        if ch in PUNCT_CHARS:
-            tokens.append(Token(TokenKind.PUNCT, ch, line, col()))
-            pos += 1
-            continue
-
-        raise error(errors.ILLEGAL_CHAR, f"illegal character {ch!r}")
-
+    for m in _TOKEN_RE.finditer(source):
+        group = m.lastgroup
+        kind = kinds.get(group)
+        if kind is not None:
+            append(Token(kind, m[group], line, m.start(group) - line_start + 1))
+        elif group == "skip":
+            text = m[group]
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start(group) + text.rindex("\n") + 1
+        elif group == "PRAGMA":
+            append(Token(TokenKind.PRAGMA, "#pragma hstream", line,
+                         m.start(group) - line_start + 1))
+        else:
+            start = m.start(group)
+            _raise_at(source, start, line, start - line_start + 1, group)
     return tokens
+
+
+def _raise_at(source: str, pos: int, line: int, col: int, group: str) -> None:
+    """The diagnostic for an illegal construct starting at `pos`."""
+    if group == "unterminated":
+        raise CompileError.single(line, col, errors.SYNTAX, "unterminated block comment")
+    if group == "hash":
+        m = _WORD_RE.match(source, pos + 1)
+        if not m or m.group() != "pragma":
+            raise CompileError.single(line, col, errors.ILLEGAL_CHAR,
+                                      "stray '#' (only '#pragma hstream' is recognized)")
+        after = m.end()
+        while after < len(source) and source[after] in " \t":
+            after += 1
+        m = _WORD_RE.match(source, after)
+        got = m.group() if m else "<end of line>"
+        raise CompileError.single(line, col, errors.BAD_PRAGMA, f"unsupported pragma '{got}'")
+    raise CompileError.single(line, col, errors.ILLEGAL_CHAR,
+                              f"illegal character {source[pos]!r}")

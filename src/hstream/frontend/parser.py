@@ -20,8 +20,6 @@ scheduling are a semantic error, not a syntax error):
 
 from __future__ import annotations
 
-from typing import Optional
-
 from hstream import errors
 from hstream.errors import CompileError
 from hstream.frontend.ast import (
@@ -56,65 +54,83 @@ from hstream.ir import (
 )
 
 _CLAUSE_NAMES = {"in", "out", "inout", "device", "scheduling"}
+_REF_CLAUSES = {"in": InClause, "out": OutClause, "inout": InOutClause}
+_TYPES = {t.c_name: t for t in ElementType}
+_ADDITIVE = frozenset("+-")
+_MULTIPLICATIVE = frozenset("*/")
+
+
+def _end_of_input(end: Token) -> CompileError:
+    return CompileError.single(end.line, end.col, errors.SYNTAX, "unexpected end of input")
 
 
 class _Parser:
+    """Reads a token list that ends with an END token placed where input
+    ends, so that looking ahead never runs off the list. A lexeme that is a
+    punctuation character, such as '(', belongs to a punctuation token, so
+    comparing a lexeme with one also checks the kind."""
+
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        if tokens:
+            last = tokens[-1]
+            end = Token(TokenKind.END, "", last.line, last.col + len(last.lexeme))
+        else:
+            end = Token(TokenKind.END, "", 1, 1)
+        self.tokens = [*tokens, end]
         self.pos = 0
 
     # -- token helpers --------------------------------------------------------
 
-    def peek(self) -> Optional[Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            line = last.line if last else 1
-            col = last.col + len(last.lexeme) if last else 1
-            raise CompileError.single(line, col, errors.SYNTAX, "unexpected end of input")
+        tok = self.tokens[self.pos]
+        if tok.kind is TokenKind.END:
+            raise _end_of_input(tok)
         self.pos += 1
         return tok
 
-    def error(self, tok: Optional[Token], message: str) -> CompileError:
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            line = last.line if last else 1
-            col = last.col + len(last.lexeme) if last else 1
-            return CompileError.single(line, col, errors.SYNTAX,
-                                       f"{message} (got end of input)")
-        return CompileError.single(tok.line, tok.col, errors.SYNTAX,
-                                   f"{message} (got {tok.lexeme!r})")
+    def unexpected(self, tok: Token, message: str) -> CompileError:
+        """The error for reading `tok` where `message` says what belongs:
+        running off the input is reported as such, as `next` does."""
+        if tok.kind is TokenKind.END:
+            return _end_of_input(tok)
+        return self.error(tok, message)
+
+    def error(self, tok: Token, message: str) -> CompileError:
+        got = "end of input" if tok.kind is TokenKind.END else repr(tok.lexeme)
+        return CompileError.single(tok.line, tok.col, errors.SYNTAX, f"{message} (got {got})")
 
     def expect_punct(self, ch: str, context: str) -> Token:
-        tok = self.next()
-        if tok.kind is not TokenKind.PUNCT or tok.lexeme != ch:
-            raise self.error(tok, f"expected '{ch}' {context}")
+        tok = self.tokens[self.pos]
+        if tok.lexeme != ch:
+            raise self.unexpected(tok, f"expected '{ch}' {context}")
+        self.pos += 1
         return tok
 
     def at_punct(self, ch: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind is TokenKind.PUNCT and tok.lexeme == ch
+        return self.tokens[self.pos].lexeme == ch
 
     def expect_ident(self, context: str) -> Token:
-        tok = self.next()
+        tok = self.tokens[self.pos]
         if tok.kind is not TokenKind.IDENT:
-            raise self.error(tok, f"expected identifier {context}")
+            raise self.unexpected(tok, f"expected identifier {context}")
+        self.pos += 1
         return tok
 
     def expect_int(self, context: str) -> int:
-        tok = self.next()
+        tok = self.tokens[self.pos]
         if tok.kind is not TokenKind.INT:
-            raise self.error(tok, f"expected integer {context}")
+            raise self.unexpected(tok, f"expected integer {context}")
+        self.pos += 1
         return int(tok.lexeme)
 
     # -- grammar --------------------------------------------------------------
 
     def program(self) -> Program:
         items: list[TopItem] = []
-        while (tok := self.peek()) is not None:
+        while (tok := self.peek()).kind is not TokenKind.END:
             if tok.kind is TokenKind.KEYWORD:
                 items.append(self.declaration())
             elif tok.kind is TokenKind.PRAGMA:
@@ -127,9 +143,9 @@ class _Parser:
 
     def type_keyword(self) -> ElementType:
         tok = self.next()
-        if tok.kind is not TokenKind.KEYWORD or tok.lexeme not in ("int", "double"):
+        if tok.kind is not TokenKind.KEYWORD or tok.lexeme not in _TYPES:
             raise self.error(tok, "expected type 'int' or 'double'")
-        return ElementType(tok.lexeme)
+        return _TYPES[tok.lexeme]
 
     def declaration(self, local: bool = False) -> Declaration:
         tok = self.next()
@@ -142,7 +158,7 @@ class _Parser:
             name = self.expect_ident("in stream declaration")
             self.expect_punct(";", "after declaration")
             return Declaration(name.lexeme, et, VarKind.STREAM, None, tok.line, tok.col)
-        et = ElementType(tok.lexeme)
+        et = _TYPES[tok.lexeme]
         name = self.expect_ident("in declaration")
         if self.at_punct("["):
             if local:
@@ -165,11 +181,11 @@ class _Parser:
     def directive(self) -> DirectiveNode:
         pragma = self.next()
         clauses: list[Clause] = []
-        while (tok := self.peek()) is not None and tok.line == pragma.line \
-                and not self.at_punct("{"):
+        while (tok := self.peek()).kind is not TokenKind.END and tok.line == pragma.line \
+                and tok.lexeme != "{":
             clauses.append(self.clause())
         brace = self.peek()
-        if brace is None or not self.at_punct("{"):
+        if brace.lexeme != "{":
             raise self.error(brace, "expected '{' to open the directive body")
         if brace.line == pragma.line:
             raise self.error(brace, "directive body must start on a line after the pragma")
@@ -177,8 +193,8 @@ class _Parser:
         body: list[BodyItem] = []
         while not self.at_punct("}"):
             tok = self.peek()
-            if tok is None:
-                raise self.error(None, "unclosed directive body")
+            if tok.kind is TokenKind.END:
+                raise self.error(tok, "unclosed directive body")
             if tok.kind is TokenKind.KEYWORD:
                 body.append(self.declaration(local=True))
             elif tok.kind is TokenKind.IDENT:
@@ -196,14 +212,13 @@ class _Parser:
         if tok.kind is not TokenKind.IDENT or tok.lexeme not in _CLAUSE_NAMES:
             raise self.error(tok, "expected clause (in/out/inout/device/scheduling)")
         self.expect_punct("(", f"after '{tok.lexeme}'")
-        if tok.lexeme in ("in", "out", "inout"):
+        if tok.lexeme in _REF_CLAUSES:
             refs = [self.varref()]
             while self.at_punct(","):
                 self.next()
                 refs.append(self.varref())
             self.expect_punct(")", "to close the clause")
-            cls = {"in": InClause, "out": OutClause, "inout": InOutClause}[tok.lexeme]
-            return cls(tuple(refs), tok.line, tok.col)
+            return _REF_CLAUSES[tok.lexeme](tuple(refs), tok.line, tok.col)
         if tok.lexeme == "device":
             if self.at_punct("*"):
                 self.next()
@@ -217,7 +232,7 @@ class _Parser:
             return DeviceClause(DeviceIds(tuple(ids)), tok.line, tok.col)
         # scheduling
         nxt = self.peek()
-        if nxt is not None and nxt.kind is TokenKind.IDENT and nxt.lexeme.lower() == "auto":
+        if nxt.kind is TokenKind.IDENT and nxt.lexeme.lower() == "auto":
             self.next()
             self.expect_punct(")", "to close scheduling(AUTO)")
             return SchedulingClause(AutoSchedule(), tok.line, tok.col)
@@ -257,8 +272,7 @@ class _Parser:
 
     def expr(self) -> Expr:
         left = self.term()
-        while (tok := self.peek()) is not None and tok.kind is TokenKind.PUNCT \
-                and tok.lexeme in "+-":
+        while self.peek().lexeme in _ADDITIVE:
             op = self.next()
             right = self.term()
             left = BinOp(op.lexeme, left, right, op.line, op.col)
@@ -266,8 +280,7 @@ class _Parser:
 
     def term(self) -> Expr:
         left = self.factor()
-        while (tok := self.peek()) is not None and tok.kind is TokenKind.PUNCT \
-                and tok.lexeme in "*/":
+        while self.peek().lexeme in _MULTIPLICATIVE:
             op = self.next()
             right = self.factor()
             left = BinOp(op.lexeme, left, right, op.line, op.col)
@@ -281,11 +294,11 @@ class _Parser:
             return Num(float(tok.lexeme), ElementType.DOUBLE, tok.line, tok.col)
         if tok.kind is TokenKind.IDENT:
             return Var(tok.lexeme, tok.line, tok.col)
-        if tok.kind is TokenKind.PUNCT and tok.lexeme == "(":
+        if tok.lexeme == "(":
             inner = self.expr()
             self.expect_punct(")", "to close the expression")
             return inner
-        if tok.kind is TokenKind.PUNCT and tok.lexeme == "-":
+        if tok.lexeme == "-":
             return Neg(self.factor(), tok.line, tok.col)
         raise self.error(tok, "expected expression")
 

@@ -102,11 +102,11 @@ class _Checker:
 
     def expr_type(self, expr: Expr, scope: Optional[_Scope]) -> Optional[ElementType]:
         """Type of an expression, or None if any operand failed to resolve."""
-        if isinstance(expr, Num):
-            return expr.element_type
         if isinstance(expr, Var):
             decl = self.resolve(expr.name, expr.line, expr.col, scope)
             return decl.element_type if decl else None
+        if isinstance(expr, Num):
+            return expr.element_type
         if isinstance(expr, Neg):
             return self.expr_type(expr.operand, scope)
         left = self.expr_type(expr.left, scope)

@@ -9,14 +9,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Mapping, Union
 
 import numpy as np
 
 
+# Tokens, syntax nodes and IR nodes are built by the thousand per compile. A
+# slotted dataclass's plain `__init__` costs a third of a frozen one's; nodes
+# are never changed once built, so they still hash by value.
+syntax_node = dataclass(slots=True, unsafe_hash=True)
+
+
 class ElementType(Enum):
     INT = "int"
     DOUBLE = "double"
+
+    def __init__(self, c_name: str):
+        # The C spelling, read for every array by every generator: a plain
+        # attribute, since an enum's `value` is a Python-level property.
+        self.c_name = c_name
 
     @property
     def size_bytes(self) -> int:
@@ -25,10 +37,6 @@ class ElementType(Enum):
     @property
     def numpy_dtype(self):
         return np.int32 if self is ElementType.INT else np.float64
-
-    @property
-    def c_name(self) -> str:
-        return self.value
 
 
 class VarKind(Enum):
@@ -41,7 +49,7 @@ class VarKind(Enum):
         return self is not VarKind.SCALAR
 
 
-@dataclass(frozen=True)
+@syntax_node
 class BoundVar:
     """A clause or body variable resolved against its declaration."""
 
@@ -56,7 +64,7 @@ class BoundVar:
 
 # --- Expressions -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@syntax_node
 class Num:
     value: Union[int, float]
     element_type: ElementType
@@ -64,21 +72,21 @@ class Num:
     col: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@syntax_node
 class Var:
     name: str
     line: int = field(default=0, compare=False)
     col: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@syntax_node
 class Neg:
     operand: "Expr"
     line: int = field(default=0, compare=False)
     col: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@syntax_node
 class BinOp:
     op: str  # one of + - * /
     left: "Expr"
@@ -92,13 +100,17 @@ Expr = Union[Num, Var, Neg, BinOp]
 
 def expr_vars(expr: Expr) -> list[Var]:
     """Every variable occurrence in an expression, from left to right."""
-    if isinstance(expr, Var):
-        return [expr]
-    if isinstance(expr, Neg):
-        return expr_vars(expr.operand)
-    if isinstance(expr, BinOp):
-        return expr_vars(expr.left) + expr_vars(expr.right)
-    return []
+    found: list[Var] = []
+    pending = [expr]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, BinOp):
+            pending += (node.right, node.left)
+        elif isinstance(node, Var):
+            found.append(node)
+        elif isinstance(node, Neg):
+            pending.append(node.operand)
+    return found
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
@@ -122,15 +134,6 @@ def format_expr(expr: Expr, name: Callable[[str], str] = str) -> str:
     + and * do not associate, and text after a - never begins with -, so no
     -- (a C decrement) is printed.
     """
-    if isinstance(expr, Num):
-        return _format_num(expr.value)
-    if isinstance(expr, Var):
-        return name(expr.name)
-    if isinstance(expr, Neg):
-        inner = format_expr(expr.operand, name)
-        if isinstance(expr.operand, BinOp) or inner.startswith("-"):
-            inner = f"({inner})"
-        return f"-{inner}"
     if isinstance(expr, BinOp):
         prec = _PRECEDENCE[expr.op]
         left = format_expr(expr.left, name)
@@ -141,6 +144,15 @@ def format_expr(expr: Expr, name: Callable[[str], str] = str) -> str:
                 or (expr.op == "-" and right.startswith("-")):
             right = f"({right})"
         return f"{left}{expr.op}{right}"
+    if isinstance(expr, Var):
+        return name(expr.name)
+    if isinstance(expr, Num):
+        return _format_num(expr.value)
+    if isinstance(expr, Neg):
+        inner = format_expr(expr.operand, name)
+        if isinstance(expr.operand, BinOp) or inner.startswith("-"):
+            inner = f"({inner})"
+        return f"-{inner}"
     raise TypeError(f"not an expression: {expr!r}")
 
 
@@ -184,7 +196,7 @@ SchedulingSpec = Union[AutoSchedule, UniformSchedule, PerDeviceSchedule]
 
 # --- Checked kernels ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@syntax_node
 class ElementAssign:
     """One elementwise statement of a directive body: target <- expr per index."""
 
@@ -208,19 +220,26 @@ class KernelSpec:
     line: int = field(default=0, compare=False)
     col: int = field(default=0, compare=False)
 
-    @property
+    # Codegen's rendering of the body, one text per index symbol, filled on
+    # first use by `hstream.codegen.emit`.
+    body_texts: dict[str, str] = field(default_factory=dict, init=False, repr=False,
+                                       compare=False)
+
+    # The views below are computed on first use: a spec never changes.
+
+    @cached_property
     def array_ins(self) -> tuple[BoundVar, ...]:
         return tuple(v for v in self.ins if v.is_elementwise)
 
-    @property
+    @cached_property
     def scalar_ins(self) -> tuple[BoundVar, ...]:
         return tuple(v for v in self.ins if not v.is_elementwise)
 
-    @property
+    @cached_property
     def array_outs(self) -> tuple[BoundVar, ...]:
         return tuple(v for v in self.outs if v.is_elementwise)
 
-    @property
+    @cached_property
     def arrays(self) -> tuple[BoundVar, ...]:
         """Every clause array once: array ins in clause order, then out-only
         arrays."""
@@ -228,7 +247,7 @@ class KernelSpec:
         return self.array_ins + tuple(
             v for v in self.array_outs if v.name not in in_names)
 
-    @property
+    @cached_property
     def local_names(self) -> frozenset[str]:
         return frozenset(v.name for v in self.locals_)
 
@@ -238,7 +257,7 @@ class KernelSpec:
                 return v
         raise KeyError(name)
 
-    @property
+    @cached_property
     def body_reads(self) -> tuple[BoundVar, ...]:
         """Non-local variables read by the body, in first-use order."""
         seen: list[BoundVar] = []
@@ -251,7 +270,7 @@ class KernelSpec:
                     seen.append(v)
         return tuple(seen)
 
-    @property
+    @cached_property
     def body_writes(self) -> tuple[BoundVar, ...]:
         """Non-local assignment targets, in first-write order."""
         seen: list[BoundVar] = []

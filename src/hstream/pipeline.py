@@ -427,6 +427,9 @@ def run_pipeline(source: StreamSource, kernel: ExecutableKernel,
 
     if errors:
         first = errors[0]
+        # Each recorded error's traceback holds its stage's frame, which
+        # holds this list: emptied, no cycle keeps the source alive.
+        errors.clear()
         if isinstance(first, MemoryError):
             raise first
         raise PipelineError(f"pipeline failed in flight: {first}") from first

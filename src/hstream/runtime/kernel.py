@@ -4,7 +4,8 @@ execution path (host loop, simulated accelerators, sequential reference).
 A kernel's statements are compiled once into numpy closures; evaluation over a
 range touches only that range, so output index i depends only on input index i
 and the scalar environment. Integer division follows C semantics (truncation
-toward zero); integer division by zero yields 0.
+toward zero); integer division by zero yields 0, and INT_MIN / -1 wraps to
+INT_MIN.
 """
 
 from __future__ import annotations
@@ -38,11 +39,12 @@ def _divide(left, right):
     if _is_integer(left) and _is_integer(right):
         a = np.asarray(left)
         b = np.asarray(right)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # floor_divide gives 0 for x / 0 and wraps INT_MIN / -1 to INT_MIN
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             q = np.floor_divide(a, b)
             r = a - q * b
-        # floor -> truncation toward zero
-        return q + ((r != 0) & ((a < 0) != (b < 0)))
+        # floor -> truncation toward zero, except after a zero divisor
+        return q + ((r != 0) & ((a < 0) != (b < 0)) & (b != 0))
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.true_divide(left, right)
 

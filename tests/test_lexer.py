@@ -1,11 +1,18 @@
 """Tokenizer behavior: token streams, comment stripping, illegal constructs."""
 
+import importlib.util
+import re
+import sys
+
 import pytest
+from hypothesis import given, settings
 
 from hstream import errors
 from hstream.errors import CompileError
 from hstream.frontend import lex
 from hstream.frontend.lexer import TokenKind
+from tests.conftest import PROGRAMS, REPO
+from tests.test_codegen import random_kernel_source
 
 
 def kinds_and_lexemes(source):
@@ -87,3 +94,78 @@ def test_unterminated_block_comment():
     with pytest.raises(CompileError) as err:
         lex("/* never closed")
     assert err.value.codes == [errors.SYNTAX]
+
+
+# --- positions ----------------------------------------------------------------------
+
+_PRAGMA_TEXT = re.compile(r"#pragma[ \t]*hstream")
+_COMMENT = re.compile(r"//[^\n]*|/\*.*?\*/", re.S)
+
+
+def assert_positions_point_at_lexemes(source):
+    """Each token's (line, col) is where its lexeme starts in `source`, the
+    tokens come in source order, and only blanks and comments lie between."""
+    line_starts = [0] + [m.end() for m in re.finditer("\n", source)]
+    end = 0
+    for tok in lex(source):
+        at = line_starts[tok.line - 1] + tok.col - 1
+        if tok.kind is TokenKind.PRAGMA:
+            m = _PRAGMA_TEXT.match(source, at)
+            assert m, (tok, source[at:at + 20])
+            length = m.end() - at
+        else:
+            assert source.startswith(tok.lexeme, at), (tok, source[at:at + 20])
+            length = len(tok.lexeme)
+        assert at >= end, tok
+        assert _COMMENT.sub("", source[end:at]).strip(" \t\r\n") == "", tok
+        end = at + length
+    assert _COMMENT.sub("", source[end:]).strip(" \t\r\n") == ""
+
+
+def _compile_corpus():
+    """The compile benchmark's corpus, loaded from perfbench/corpus.py."""
+    spec = importlib.util.spec_from_file_location("perfbench_corpus",
+                                                  REPO / "perfbench" / "corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return [p for seed in (0, 1) for p in module.build_corpus(REPO, seed)]
+
+
+def test_positions_in_shipped_programs():
+    paths = sorted(PROGRAMS.glob("*.hs.c"))
+    assert paths
+    for path in paths:
+        assert_positions_point_at_lexemes(path.read_text(encoding="utf-8"))
+
+
+def test_positions_in_the_compile_corpus():
+    checked = 0
+    for program in _compile_corpus():
+        try:
+            assert_positions_point_at_lexemes(program.text)
+            checked += 1
+        except CompileError:
+            assert program.expect, program.name  # only invalid programs may not lex
+    assert checked > 20
+
+
+@settings(max_examples=50, deadline=None)
+@given(random_kernel_source())
+def test_positions_in_generated_programs(source):
+    assert_positions_point_at_lexemes(source)
+
+
+def test_positions_after_block_comments_tabs_and_spaced_pragmas():
+    source = ("double a[4];\tdouble\tb[4]; /* one\n two\n\tthree */ int n; // end\n"
+              "#pragma \t  hstream\tin(b)  out(a)\n"
+              "{\n\t/* x */a = b*2.5e3 -\t1;  \n}\n"
+              "#pragma\thstream in(b) out(a)\n{\n    a = b;\n}\t \n")
+    tokens = lex(source)
+    n = next(t for t in tokens if t.lexeme == "n")
+    assert (n.line, n.col) == (3, 15)
+    pragmas = [(t.line, t.col) for t in tokens if t.kind is TokenKind.PRAGMA]
+    assert pragmas == [(4, 1), (8, 1)]
+    a = [t for t in tokens if t.lexeme == "a"][2]
+    assert (a.line, a.col) == (6, 9)
+    assert_positions_point_at_lexemes(source)

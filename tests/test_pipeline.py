@@ -240,6 +240,38 @@ def test_pipeline_frees_its_sink_and_source_on_return():
         gc.enable()
 
 
+def test_failed_pipeline_frees_its_source():
+    # the recorded stage error's traceback holds the failed stage's frame;
+    # with the cyclic collector off, the source is freed only if nothing in
+    # that frame leads back to the error
+    class ThirdReadFails(ListSource):
+        reads = 0
+
+        def read(self, max_elements):
+            self.reads += 1
+            if self.reads == 3:
+                raise RuntimeError("third read broke")
+            return super().read(max_elements)
+
+    platform = parse_pdl(SMALL_PLATFORM)
+    source = ThirdReadFails(("b",), 10 * 16)
+    probe = weakref.ref(source)
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            run_pipeline(source, copy_kernel(), platform, batch_elements=16,
+                         sink=MemorySink())
+        except PipelineError:
+            pass
+        else:
+            pytest.fail("the failing read did not fail the pipeline")
+        del source
+        assert probe() is None
+    finally:
+        gc.enable()
+
+
 def test_pipeline_overlaps_write_with_next_process():
     platform = parse_pdl(SMALL_PLATFORM)
     kern = copy_kernel(SlowKernel)
@@ -373,6 +405,37 @@ def test_pipeline_stage_failure_at_batch_k_stops_every_stage(stage, k):
     # and the three stages can hold
     read = batches - source.remaining // 16
     assert read <= k + 2 * QUEUE_CAPACITY + 3
+
+
+def test_pipeline_stops_processing_once_the_writer_failed():
+    # The writer fails at batch 0 after 50 ms, while reads are instant and
+    # each evaluation takes 10 ms, so the processor runs ahead of the writer
+    # and the reader ahead of the processor. Until the failure is recorded,
+    # the processor can have evaluated batch 0, a full queue to the writer
+    # and the batch it holds; after it, no further batch. That bound holds
+    # whatever the timing; the timing makes a processor that ignores the
+    # failure evaluate well past it.
+    platform = parse_pdl(SMALL_PLATFORM)
+    kern = copy_kernel(SlowKernel)
+    kern.delay = 0.01  # each 16-element batch is one chunk: one sleep per batch
+    evaluations = itertools.count()
+    evaluate = kern.eval_into
+
+    def counted(*args):
+        next(evaluations)
+        return evaluate(*args)
+
+    kern.eval_into = counted
+
+    class BrokenSink(MemorySink):
+        def write(self, batch):
+            time.sleep(0.05)
+            raise RuntimeError("writer broke")
+
+    with pytest.raises(PipelineError, match="writer broke"):
+        run_pipeline(ListSource(("b",), 40 * 16), kern, platform, batch_elements=16,
+                     sink=BrokenSink())
+    assert next(evaluations) <= 1 + QUEUE_CAPACITY + 1
 
 
 # --- sources and sinks --------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Chunk claiming, scheduling policy, device paths, and multi-unit execution."""
 
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -504,3 +505,30 @@ s = -7;
     run_on_cpu(kern, host, Chunk(0, 8))
     # C truncation toward zero
     assert host["a"].tolist() == [-3, 3, -2, 2, 0, 0, 0, 0]
+
+
+INT_MIN = np.iinfo(np.int32).min
+
+
+@pytest.mark.parametrize("divisor", ["c", "s"])
+def test_int_division_by_zero_gives_zero_and_int_min_by_minus_one_wraps(divisor):
+    # x / 0 is 0 whatever the sign of x, and INT_MIN / -1 wraps to INT_MIN,
+    # with no numpy warning; the divisor is an array or a scalar
+    src = f"""int a[4];
+int b[4];
+int c[4];
+int s;
+#pragma hstream in(b, c, s) out(a)
+{{
+    a = b / {divisor};
+}}
+"""
+    b = np.array([-5, 5, 0, INT_MIN], dtype=np.int32)
+    for divisor_value, expected in ((0, [0, 0, 0, 0]), (-1, [5, -5, 0, INT_MIN])):
+        kern = kernel_of(src, {"s": divisor_value})
+        host = {"a": np.zeros(4, dtype=np.int32), "b": b,
+                "c": np.full(4, divisor_value, dtype=np.int32)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_on_cpu(kern, host, Chunk(0, 4))
+        assert host["a"].tolist() == expected
