@@ -9,7 +9,7 @@ offload sources plus the driver that wires them to the runtime scheduler.
 from pathlib import Path
 
 from hstream.codegen import gen_cuda, gen_driver, gen_leo, gen_openmp
-from hstream.frontend import compile_file, lex
+from hstream.frontend import compile_file, count_file_loc, lex
 from hstream.pdl import parse_pdl_file
 
 HERE = Path(__file__).resolve().parent
@@ -52,7 +52,6 @@ def main():
     print(driver.text)
 
     banner("Why this matters: annotation cost vs. generated code")
-    from hstream.bench import count_file_loc
     total, pragmas = count_file_loc(HERE / "programs" / "stream.hs.c")
     generated = sum(len(g(k).text.splitlines())
                     for k in compile_file(HERE / "programs" / "stream.hs.c").kernels

@@ -1,4 +1,4 @@
-"""Memory-throughput kernel suite, sweep driver, and source-form line counting.
+"""Memory-throughput kernel suite and sweep driver.
 
 The six kernels (COPY, SCALE, ADD, TRIAD, FILL, DAXPY) are defined as pragma
 source and compiled through the regular frontend, so the sweep exercises the
@@ -23,8 +23,7 @@ import math
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -356,46 +355,3 @@ def summarize(rows: list[ResultRow]) -> str:
 
 def _num(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else str(value)
-
-
-# --- Source-form line counting ---------------------------------------------------------
-
-_PRAGMA_LINE = re.compile(r"^#\s*pragma\s+hstream\b")
-
-
-def count_file_loc(path: Union[str, Path]) -> tuple[int, int]:
-    """(total_loc, hstream_loc): non-blank non-comment lines, and the subset
-    that are stream pragma lines."""
-    total = 0
-    pragmas = 0
-    in_block_comment = False
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if in_block_comment:
-            if "*/" in line:
-                in_block_comment = False
-                line = line.split("*/", 1)[1].strip()
-            else:
-                continue
-        if line.startswith("/*"):
-            if "*/" in line:
-                line = line.split("*/", 1)[1].strip()
-            else:
-                in_block_comment = True
-                continue
-        if not line or line.startswith("//"):
-            continue
-        total += 1
-        if _PRAGMA_LINE.match(line):
-            pragmas += 1
-    return total, pragmas
-
-
-def count_pragma_loc(corpus: Union[str, Path]) -> dict[str, tuple[int, int]]:
-    """LOC per file for a corpus directory (``*.hs.c``) or a single file."""
-    root = Path(corpus)
-    if root.is_dir():
-        files = sorted(root.glob("*.hs.c"))
-    else:
-        files = [root]
-    return {str(f): count_file_loc(f) for f in files}

@@ -10,20 +10,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from hstream import __version__
-from hstream.bench import (
-    ExperimentPlan,
-    count_pragma_loc,
-    desk_plan,
-    elements_in,
-    paper_plan,
-    run_experiment,
-    summarize,
-)
-from hstream.codegen import TargetKind, gen_driver, generate
 from hstream.errors import (
     CompileError,
     ConfigurationError,
@@ -31,16 +20,9 @@ from hstream.errors import (
     ResolveError,
     VerificationError,
 )
-from hstream.frontend import compile_file, unit_name_for
-from hstream.pdl import parse_pdl_file
-from hstream.pipeline import (
-    DiscardSink,
-    FileSink,
-    FileSource,
-    GeneratedSource,
-    run_pipeline,
-)
-from hstream.runtime import ExecutableKernel, compile_expr
+
+# Each command imports the modules it uses, so that compile, check and loc
+# start without numpy, the runtime or the pipeline.
 
 
 class UsageError(Exception):
@@ -100,6 +82,8 @@ def _build_parser() -> _Parser:
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    import tempfile
+
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         # mkstemp creates the file 0600; give it the mode a plain open would.
@@ -116,6 +100,10 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def cmd_compile(args) -> int:
+    from hstream.codegen import TargetKind, gen_driver, generate
+    from hstream.frontend import unit_name_for
+    from hstream.pdl import parse_pdl_file
+
     try:
         targets = tuple(TargetKind(t.strip()) for t in args.targets.split(",") if t.strip())
     except ValueError as exc:
@@ -147,6 +135,8 @@ def cmd_compile(args) -> int:
 
 
 def _compile(source_path: str):
+    from hstream.frontend import compile_file
+
     try:
         return compile_file(source_path)
     except CompileError as exc:
@@ -160,6 +150,7 @@ def _scalar_environment(program) -> dict:
     Unassigned scalars start at zero, like static storage."""
     from hstream.frontend.ast import Assignment
     from hstream.ir import ElementType, VarKind
+    from hstream.runtime import compile_expr
 
     env: dict = {
         d.name: 0 if d.element_type is ElementType.INT else 0.0
@@ -172,6 +163,17 @@ def _scalar_environment(program) -> dict:
 
 
 def cmd_run(args) -> int:
+    from hstream.bench import elements_in
+    from hstream.pdl import parse_pdl_file
+    from hstream.pipeline import (
+        DiscardSink,
+        FileSink,
+        FileSource,
+        GeneratedSource,
+        run_pipeline,
+    )
+    from hstream.runtime import ExecutableKernel
+
     result = _compile(args.source)
     if len(result.kernels) != 1:
         print(f"{args.source}: run needs exactly one directive, found "
@@ -226,7 +228,9 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _parse_plan(text: str) -> ExperimentPlan:
+def _parse_plan(text: str):
+    from hstream.bench import ExperimentPlan, desk_plan, paper_plan
+
     if text == "desk":
         return desk_plan()
     if text == "paper":
@@ -272,6 +276,9 @@ def _parse_plan(text: str) -> ExperimentPlan:
 
 
 def cmd_bench(args) -> int:
+    from hstream.bench import run_experiment, summarize
+    from hstream.pdl import parse_pdl_file
+
     platform = parse_pdl_file(args.pdl)
     plan = _parse_plan(args.plan)
     done = [0]
@@ -304,6 +311,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_loc(args) -> int:
+    from hstream.frontend import count_pragma_loc
+
     counts = count_pragma_loc(args.corpus)
     if not counts:
         print(f"{args.corpus}: no .hs.c files found", file=sys.stderr)

@@ -42,13 +42,15 @@ from hstream.ir import (
     Num,
     Var,
     VarKind,
-    expr_vars,
 )
 
 
 @dataclass
 class _Scope:
+    """A directive body: its locals, and the globals its clauses let it read."""
+
     symbols: dict[str, Declaration]
+    readable: set[str]
 
 
 class _Checker:
@@ -61,9 +63,6 @@ class _Checker:
         self.all_globals = {d.name: d for d in program.declarations}
         # Locals of directive bodies whose scope has closed.
         self.retired: dict[str, Declaration] = {}
-        # One diagnostic per unresolved occurrence, even when an expression is
-        # visited both for clause coverage and for typing.
-        self._resolved: dict[tuple[str, int, int], Optional[Declaration]] = {}
 
     def diag(self, line: int, col: int, code: str, message: str) -> None:
         self.diags.append(Diagnostic(line, col, code, message))
@@ -72,15 +71,6 @@ class _Checker:
 
     def resolve(self, name: str, line: int, col: int,
                 scope: Optional[_Scope] = None) -> Optional[Declaration]:
-        key = (name, line, col)
-        if key in self._resolved:
-            return self._resolved[key]
-        decl = self._resolve_fresh(name, line, col, scope)
-        self._resolved[key] = decl
-        return decl
-
-    def _resolve_fresh(self, name: str, line: int, col: int,
-                       scope: Optional[_Scope] = None) -> Optional[Declaration]:
         if scope is not None and name in scope.symbols:
             return scope.symbols[name]
         if name in self.globals:
@@ -101,10 +91,13 @@ class _Checker:
     # -- expression typing -------------------------------------------------------
 
     def expr_type(self, expr: Expr, scope: Optional[_Scope]) -> Optional[ElementType]:
-        """Type of an expression, or None if any operand failed to resolve."""
+        """Type of an expression, or None if any operand failed to resolve.
+
+        One walk resolves each variable once and checks the read: a directive
+        body (`scope`) reads a global only through an in or inout clause, and
+        a plain statement (no scope) reads no elementwise variable."""
         if isinstance(expr, Var):
-            decl = self.resolve(expr.name, expr.line, expr.col, scope)
-            return decl.element_type if decl else None
+            return self.read_type(expr, scope)
         if isinstance(expr, Num):
             return expr.element_type
         if isinstance(expr, Neg):
@@ -117,11 +110,28 @@ class _Checker:
             return ElementType.DOUBLE
         return ElementType.INT
 
-    def check_assign_types(self, target_type: ElementType, expr: Expr,
-                           scope: Optional[_Scope], line: int, col: int,
+    def read_type(self, var: Var, scope: Optional[_Scope]) -> Optional[ElementType]:
+        if scope is not None and var.name in scope.symbols:
+            return scope.symbols[var.name].element_type
+        decl = self.resolve(var.name, var.line, var.col)
+        if decl is None:
+            return None
+        if scope is not None:
+            if var.name not in scope.readable:
+                self.diag(var.line, var.col, errors.NOT_IN_CLAUSE,
+                          f"'{var.name}' is read by the body but does not appear "
+                          f"in an in or inout clause")
+        elif decl.kind.is_elementwise:
+            self.diag(var.line, var.col, errors.TYPE_MISMATCH,
+                      f"{decl.kind.value} '{var.name}' cannot be used in a plain "
+                      f"statement; elementwise access is only available "
+                      f"inside a directive body")
+        return decl.element_type
+
+    def check_assign_types(self, target_type: ElementType,
+                           value_type: Optional[ElementType], line: int, col: int,
                            target_name: str) -> None:
-        et = self.expr_type(expr, scope)
-        if et is ElementType.DOUBLE and target_type is ElementType.INT:
+        if value_type is ElementType.DOUBLE and target_type is ElementType.INT:
             self.diag(line, col, errors.TYPE_MISMATCH,
                       f"cannot assign a double expression to int '{target_name}' "
                       f"without a cast")
@@ -156,13 +166,7 @@ class _Checker:
 
     def check_plain_assignment(self, stmt: Assignment) -> None:
         decl = self.resolve(stmt.target, stmt.line, stmt.col)
-        for var in expr_vars(stmt.expr):
-            d = self.resolve(var.name, var.line, var.col)
-            if d is not None and d.kind.is_elementwise:
-                self.diag(var.line, var.col, errors.TYPE_MISMATCH,
-                          f"{d.kind.value} '{var.name}' cannot be used in a plain "
-                          f"statement; elementwise access is only available "
-                          f"inside a directive body")
+        etype = self.expr_type(stmt.expr, None)
         if decl is None:
             return
         if decl.kind.is_elementwise:
@@ -170,8 +174,8 @@ class _Checker:
                       f"{decl.kind.value} '{stmt.target}' cannot be assigned in a "
                       f"plain statement; use a directive body")
             return
-        self.check_assign_types(decl.element_type, stmt.expr, None,
-                                stmt.line, stmt.col, stmt.target)
+        self.check_assign_types(decl.element_type, etype, stmt.line, stmt.col,
+                                stmt.target)
 
     # -- directives ----------------------------------------------------------------
 
@@ -197,18 +201,18 @@ class _Checker:
     def check_directive(self, node: DirectiveNode, name: str) -> Optional[KernelSpec]:
         before = len(self.diags)
 
-        in_refs: list[VarRef] = []
-        out_refs: list[VarRef] = []
+        in_vars: list[BoundVar] = []
+        out_vars: list[BoundVar] = []
         device = None
         scheduling = None
         for clause in node.clauses:
-            if isinstance(clause, InClause):
-                in_refs.extend(clause.refs)
-            elif isinstance(clause, OutClause):
-                out_refs.extend(clause.refs)
-            elif isinstance(clause, InOutClause):
-                in_refs.extend(clause.refs)
-                out_refs.extend(clause.refs)
+            if isinstance(clause, (InClause, OutClause, InOutClause)):
+                # an inout reference is bound, and diagnosed, once
+                bound = [bv for r in clause.refs if (bv := self.bind_ref(r)) is not None]
+                if not isinstance(clause, OutClause):
+                    in_vars += bound
+                if not isinstance(clause, InClause):
+                    out_vars += bound
             elif isinstance(clause, DeviceClause):
                 if device is not None:
                     self.diag(clause.line, clause.col, errors.DUP_DEVICE,
@@ -222,15 +226,14 @@ class _Checker:
                 else:
                     scheduling = clause.spec
 
-        ins = _dedup([bv for r in in_refs if (bv := self.bind_ref(r)) is not None])
-        outs = _dedup([bv for r in out_refs if (bv := self.bind_ref(r)) is not None])
-        in_names = {v.name for v in ins}
+        ins = _dedup(in_vars)
+        outs = _dedup(out_vars)
         out_names = {v.name for v in outs}
 
         # A variable listed in both a bare in and a bare out clause transfers
         # in both directions, i.e. behaves exactly like inout.
 
-        scope = _Scope({})
+        scope = _Scope({}, {v.name for v in ins})
         body: list[ElementAssign] = []
         local_vars: list[BoundVar] = []
         for stmt in node.body:
@@ -245,18 +248,9 @@ class _Checker:
                 local_vars.append(BoundVar(stmt.name, VarKind.SCALAR, stmt.element_type))
                 continue
 
-            for var in expr_vars(stmt.expr):
-                if var.name in scope.symbols:
-                    continue
-                decl = self.resolve(var.name, var.line, var.col, scope)
-                if decl is not None and var.name not in in_names:
-                    self.diag(var.line, var.col, errors.NOT_IN_CLAUSE,
-                              f"'{var.name}' is read by the body but does not appear "
-                              f"in an in or inout clause")
-
+            etype = self.expr_type(stmt.expr, scope)
             tdecl = self.resolve(stmt.target, stmt.line, stmt.col, scope)
             if tdecl is None:
-                self.expr_type(stmt.expr, scope)  # still surface nested problems
                 continue
             if stmt.target in scope.symbols:
                 target = BoundVar(stmt.target, VarKind.SCALAR, tdecl.element_type)
@@ -271,8 +265,8 @@ class _Checker:
                               f"'{stmt.target}' is written by the body but does not "
                               f"appear in an out or inout clause")
                 target = BoundVar(stmt.target, tdecl.kind, tdecl.element_type)
-            self.check_assign_types(tdecl.element_type, stmt.expr, scope,
-                                    stmt.line, stmt.col, stmt.target)
+            self.check_assign_types(tdecl.element_type, etype, stmt.line, stmt.col,
+                                    stmt.target)
             body.append(ElementAssign(target, stmt.expr, stmt.line, stmt.col))
 
         self.retired.update(scope.symbols)

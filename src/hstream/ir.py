@@ -12,8 +12,6 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Mapping, Union
 
-import numpy as np
-
 
 # Tokens, syntax nodes and IR nodes are built by the thousand per compile. A
 # slotted dataclass's plain `__init__` costs a third of a frozen one's; nodes
@@ -35,8 +33,9 @@ class ElementType(Enum):
         return 4 if self is ElementType.INT else 8
 
     @property
-    def numpy_dtype(self):
-        return np.int32 if self is ElementType.INT else np.float64
+    def numpy_dtype(self) -> str:
+        """The numpy dtype's name; the compiler never loads numpy."""
+        return "int32" if self is ElementType.INT else "float64"
 
 
 class VarKind(Enum):

@@ -71,17 +71,20 @@ def run_on_accelerator(dev: SimulatedDevice, kernel: ExecutableKernel,
                        host_data: Mapping[str, np.ndarray], chunk: Chunk) -> None:
     """Serve one chunk on a simulated accelerator.
 
-    In order: allocate private buffers, copy in the kernel's transfer inputs,
-    evaluate against device buffers only, copy outputs back to the claimed
-    host range, free. Host elements outside the chunk are never read or
-    written. The chunk is known to fit: `plan` checks every accelerator claim
-    against the unit's memory before any chunk is evaluated.
+    In order: allocate private buffers, copy in the kernel's transfer inputs
+    and zero the out-only arrays the body never writes (the sequential
+    reference's zeros), evaluate against device buffers only, copy outputs
+    back to the claimed host range, free. Host elements outside the chunk are
+    never read or written. The chunk is known to fit: `plan` checks every
+    accelerator claim against the unit's memory before any chunk is evaluated.
     """
     length = len(chunk)
     buffers = {name: np.empty(length, dtype=kernel.numpy_dtypes[name])
                for name in kernel.array_names}
     for name in kernel.transfer_ins:
         buffers[name][:] = host_data[name][chunk.start:chunk.finish]
+    for name in kernel.unwritten_outs:
+        buffers[name][:] = 0
     kernel.eval_into(buffers, length)
     for name in kernel.transfer_outs:
         host_data[name][chunk.start:chunk.finish] = buffers[name]

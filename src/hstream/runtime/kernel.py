@@ -105,6 +105,9 @@ class ExecutableKernel:
     max_element_size: int = field(init=False, repr=False)
     # bytes one element moves to and from an accelerator (ins plus outs)
     transfer_bytes_per_element: int = field(init=False, repr=False)
+    # out-only arrays no statement writes (a local of the same name shadows
+    # one): nothing fills their accelerator buffers, so those start at zero
+    unwritten_outs: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         seen: list[str] = []
@@ -119,6 +122,9 @@ class ExecutableKernel:
         self.max_element_size = max(self.element_sizes.values(), default=8)
         self.transfer_bytes_per_element = sum(
             self.element_sizes[n] for n in (*self.transfer_ins, *self.transfer_outs))
+        written = {t for t, _ in self.statements} - {n for n, _ in self.locals_}
+        self.unwritten_outs = tuple(n for n in self.transfer_outs
+                                    if n not in self.transfer_ins and n not in written)
 
     @classmethod
     def from_kernel_spec(
@@ -181,7 +187,7 @@ def evaluate_sequential(kernel: ExecutableKernel,
         length = len(next(iter(inputs.values())))
     arrays: dict[str, np.ndarray] = {}
     for name in kernel.array_names:
-        dtype = kernel.array_types[name].numpy_dtype
+        dtype = kernel.numpy_dtypes[name]
         if name not in inputs:
             arrays[name] = np.zeros(length, dtype=dtype)
         elif name in kernel.output_arrays:

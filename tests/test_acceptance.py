@@ -14,7 +14,6 @@ import pytest
 
 from hstream.bench import (
     config_means,
-    count_pragma_loc,
     desk_plan,
     kernel_catalog,
     build_kernel,
@@ -24,7 +23,7 @@ from hstream.bench import (
 from hstream.cli import main as cli_main
 from hstream.codegen import gen_cuda, gen_leo, gen_openmp
 from hstream.errors import CompileError
-from hstream.frontend import compile_file, compile_source
+from hstream.frontend import compile_file, compile_source, count_pragma_loc
 from hstream.ir import UniformSchedule
 from hstream.pdl import parse_pdl
 from hstream.pipeline import MemorySink, ProcessedBatch, run_pipeline, store

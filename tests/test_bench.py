@@ -14,8 +14,6 @@ from hstream.bench import (
     ExperimentPlan,
     build_kernel,
     config_means,
-    count_file_loc,
-    count_pragma_loc,
     desk_plan,
     ideal_seconds,
     kernel_catalog,
@@ -28,6 +26,7 @@ from hstream.bench import (
     summarize,
 )
 from hstream.errors import PipelineError, ResolveError, VerificationError
+from hstream.frontend import count_file_loc, count_pragma_loc
 from hstream.ir import DeviceIds, PerDeviceSchedule, UniformSchedule
 from hstream.pdl import PuKind, parse_pdl
 from hstream.runtime import evaluate_sequential, execute, executor

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hstream.bench import resolve_config
 from hstream.errors import ConfigurationError, DeviceMemoryError
 from hstream.frontend import compile_source
 from hstream.ir import (
@@ -17,6 +18,7 @@ from hstream.ir import (
     UniformSchedule,
 )
 from hstream.pdl import parse_pdl
+from hstream.pipeline import MemorySink, run_pipeline
 from hstream.runtime import (
     AUTO_MAX_BYTES,
     AUTO_MIN_BYTES,
@@ -35,6 +37,7 @@ from hstream.runtime import (
     transfer_seconds,
 )
 from tests.conftest import DISA_PDL, TRIAD_SOURCE
+from tests.test_pipeline import ListSource
 
 
 def triad():
@@ -225,6 +228,42 @@ def test_accelerator_never_reads_host_after_copy_in():
     kern.eval_into = poison_then_evaluate
     run_on_accelerator(dev, kern, host, Chunk(0, n))
     assert host["a"].tobytes() == expected["a"].tobytes()
+
+
+UNWRITTEN_OUT = """double a[128];
+double b[128];
+double d[128];
+#pragma hstream in(b) out(a, d) device(1) scheduling(16)
+{
+    a = b;
+}
+"""
+
+
+@pytest.mark.parametrize("config", ["CPU", "1GPU", "CPU+4GPUs"])
+@pytest.mark.parametrize("path", ["execute", "run_pipeline"])
+def test_out_array_the_body_never_writes_comes_back_as_zeros(config, path):
+    # 16-element buffers come from numpy's small-block cache, so without
+    # zeroing, d would return the 7.5s of a buffer freed by an earlier chunk
+    spec = compile_source(UNWRITTEN_OUT, "K").kernels[0]
+    kern = ExecutableKernel.from_kernel_spec(spec)
+    platform = parse_pdl(DISA_PDL)
+    device = resolve_config(platform, config)
+    n = 128
+    expected = evaluate_sequential(kern, {"b": np.full(n, 7.5)})
+    assert expected["d"].tolist() == [0.0] * n
+    for _ in range(3):
+        if path == "execute":
+            host = {"a": np.zeros(n), "b": np.full(n, 7.5), "d": np.zeros(n)}
+            execute(kern, host, platform, device, spec.scheduling)
+            got = {name: host[name] for name in kern.output_arrays}
+        else:
+            sink = MemorySink()
+            run_pipeline(ListSource(kern.input_arrays, n, fill=7.5), kern, platform,
+                         device, spec.scheduling, 64, sink)
+            got = sink.arrays()
+        for name in kern.output_arrays:
+            assert got[name].tobytes() == expected[name].tobytes(), name
 
 
 def test_accelerator_charge_counts_transfers_and_compute():

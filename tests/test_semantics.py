@@ -181,6 +181,20 @@ double b[8];
     assert codes_of(src) == [errors.DUP_DEVICE, errors.DUP_SCHEDULING]
 
 
+@pytest.mark.parametrize("ref, code", [
+    ("zz", errors.UNDECLARED),
+    ("q", errors.TYPE_MISMATCH),      # a stream needs its :type
+    ("q:int", errors.TYPE_MISMATCH),  # declared double
+    ("s:int", errors.TYPE_MISMATCH),  # only streams take a :type
+])
+def test_inout_reference_is_diagnosed_once(ref, code):
+    src = ("double a[8];\ndouble s;\nstream<double> q;\n"
+           f"#pragma hstream inout({ref}) out(a)\n{{\n    a = 1.0;\n}}\n")
+    with pytest.raises(CompileError) as err:
+        compile_source(src)
+    assert [(d.line, d.col, d.code) for d in err.value.diagnostics] == [(4, 23, code)]
+
+
 def test_diagnostic_rendering_format():
     src = "double a[8];\n#pragma hstream out(a) scheduling(1) scheduling(2)\n{\n    a = 1.0;\n}\n"
     with pytest.raises(CompileError) as err:
