@@ -14,8 +14,8 @@ import numpy as np
 
 from hstream.bench import build_kernel, kernel_def
 from hstream.ir import ALL_DEVICES, AutoSchedule, DeviceIds, PerDeviceSchedule, UniformSchedule
-from hstream.pdl import parse_pdl_file, resolve_devices
-from hstream.runtime import SharedCursor, chunk_size_for, execute, plan
+from hstream.pdl import chunk_size_for, parse_pdl_file, resolve_devices
+from hstream.runtime import SharedCursor, execute, plan
 
 HERE = Path(__file__).resolve().parent
 

@@ -102,7 +102,7 @@ def _write_atomic(path: Path, text: str) -> None:
 def cmd_compile(args) -> int:
     from hstream.codegen import TargetKind, gen_driver, generate
     from hstream.frontend import unit_name_for
-    from hstream.pdl import parse_pdl_file
+    from hstream.pdl import bind, parse_pdl_file
 
     try:
         targets = tuple(TargetKind(t.strip()) for t in args.targets.split(",") if t.strip())
@@ -115,6 +115,8 @@ def cmd_compile(args) -> int:
     if not result.kernels:
         print(f"{args.source}: no directives to compile", file=sys.stderr)
         return 1
+    for kernel in result.kernels:  # rejects what `run` rejects, before any write
+        bind(platform, kernel.device, kernel.scheduling, 0, 8)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -164,7 +166,7 @@ def _scalar_environment(program) -> dict:
 
 def cmd_run(args) -> int:
     from hstream.bench import elements_in
-    from hstream.pdl import parse_pdl_file
+    from hstream.pdl import bind, parse_pdl_file
     from hstream.pipeline import (
         DiscardSink,
         FileSink,
@@ -181,6 +183,7 @@ def cmd_run(args) -> int:
         return 1
     spec = result.kernels[0]
     platform = parse_pdl_file(args.pdl)
+    bind(platform, spec.device, spec.scheduling, 0, 8)  # before opening --output
     kernel = ExecutableKernel.from_kernel_spec(
         spec, _scalar_environment(result.program))
     batch_elements = None if args.batch_mb is None else \
@@ -219,12 +222,12 @@ def cmd_run(args) -> int:
                 close()
 
     print(f"kernel {kernel.name}: {stats.total_elements} elements in "
-          f"{stats.wall_time:.3f} s, {stats.bytes_moved / 2**20:.1f} MB moved, "
-          f"{stats.throughput_mb_s:.1f} MB/s")
+          f"{stats.wall_time:.3f} s modelled, {stats.bytes_moved / 2**20:.1f} MB "
+          f"moved, {stats.throughput_mb_s:.1f} MB/s modelled")
     for pu_id in sorted(stats.per_pu):
         pu = stats.per_pu[pu_id]
         print(f"  pu {pu_id}: {pu.chunks_claimed} chunks, "
-              f"{pu.elements_processed} elements, busy {pu.busy_time:.3f} s")
+              f"{pu.elements_processed} elements, busy {pu.busy_time:.3f} s modelled")
     return 0
 
 

@@ -10,7 +10,7 @@ from typing import Union
 
 from hstream.frontend.ast import Program, format_program
 from hstream.frontend.lexer import Token, TokenKind, lex
-from hstream.frontend.parser import parse, parse_source
+from hstream.frontend.parser import parse
 from hstream.frontend.semantics import check
 from hstream.ir import KernelSpec
 
@@ -27,7 +27,6 @@ __all__ = [
     "format_program",
     "lex",
     "parse",
-    "parse_source",
     "unit_name_for",
 ]
 

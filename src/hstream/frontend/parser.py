@@ -37,7 +37,7 @@ from hstream.frontend.ast import (
     TopItem,
     VarRef,
 )
-from hstream.frontend.lexer import Token, TokenKind, lex
+from hstream.frontend.lexer import Token, TokenKind
 from hstream.ir import (
     ALL_DEVICES,
     AutoSchedule,
@@ -307,7 +307,3 @@ def parse(tokens: list[Token]) -> Program:
     """Parse a token stream into a Program; raises CompileError on the first
     syntax error, carrying its position."""
     return _Parser(tokens).program()
-
-
-def parse_source(source: str) -> Program:
-    return parse(lex(source))

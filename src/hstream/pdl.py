@@ -1,4 +1,5 @@
-"""Platform description files: which processing units exist and what they can do.
+"""Platform description files: which processing units exist and what they can
+do, and `bind`: which of them serve a directive, and with what chunk sizes.
 
 A ``.pdl`` file is a small XML document::
 
@@ -22,11 +23,20 @@ import xml.parsers.expat
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from hstream import errors
-from hstream.errors import Diagnostic, PdlError, ResolveError
-from hstream.ir import ALL_DEVICES, AllDevices, DeviceIds, DeviceSelector
+from hstream.errors import ConfigurationError, Diagnostic, PdlError, ResolveError
+from hstream.ir import (
+    ALL_DEVICES,
+    AllDevices,
+    AutoSchedule,
+    DeviceIds,
+    DeviceSelector,
+    PerDeviceSchedule,
+    SchedulingSpec,
+    UniformSchedule,
+)
 
 
 class PuKind(Enum):
@@ -284,3 +294,57 @@ def resolve_devices(platform: PlatformDescription,
         seen.add(pu_id)
         out.append(platform.by_id(pu_id))
     return out
+
+
+# AUTO policy: aim for ~16 claims per unit, proportional to configured speed,
+# clamped to [1 MB, 64 MB] worth of elements.
+AUTO_TARGET_CLAIMS = 16
+AUTO_MIN_BYTES = 2**20
+AUTO_MAX_BYTES = 64 * 2**20
+
+
+def chunk_size_for(pu: ProcessingUnit, spec: SchedulingSpec, total: int,
+                   engaged: Sequence[ProcessingUnit],
+                   element_size: int = 8) -> int:
+    """Chunk size in elements for one unit among the `engaged` units under a
+    scheduling choice.
+
+    Uniform applies one size to every unit; per-device looks the unit up (a
+    missing entry is a configuration error, raised before any chunk is claimed);
+    AUTO splits the total proportionally to the engaged units' speeds, targeting
+    AUTO_TARGET_CLAIMS claims per unit, clamped to [1 MB, 64 MB] worth of
+    elements.
+    """
+    if isinstance(spec, UniformSchedule):
+        return spec.chunk_elements
+    if isinstance(spec, PerDeviceSchedule):
+        sizes = spec.as_dict()
+        if pu.id not in sizes:
+            raise ConfigurationError(
+                f"per-device scheduling does not list engaged pu {pu.id}")
+        return sizes[pu.id]
+    if isinstance(spec, AutoSchedule):
+        weight_sum = sum(p.speed_factor for p in engaged)
+        raw = round(total * pu.speed_factor / (AUTO_TARGET_CLAIMS * weight_sum))
+        lo = max(1, AUTO_MIN_BYTES // element_size)
+        hi = max(lo, AUTO_MAX_BYTES // element_size)
+        return min(max(raw, lo), hi)
+    raise TypeError(f"not a scheduling spec: {spec!r}")
+
+
+def bind(platform: PlatformDescription, device: DeviceSelector,
+         scheduling: SchedulingSpec, total: int,
+         element_size: int) -> tuple[list[ProcessingUnit], list[int]]:
+    """The units that serve a directive on `platform`, in resolved order, and
+    each one's chunk size for `total` elements (AUTO's is its 1 MB floor at 0).
+    ResolveError rejects the device list, ConfigurationError the scheduling
+    clause: a per-device clause lists exactly the engaged units."""
+    units = resolve_devices(platform, device)
+    sizes = [chunk_size_for(pu, scheduling, total, units, element_size) for pu in units]
+    if isinstance(scheduling, PerDeviceSchedule):
+        engaged = {pu.id for pu in units}
+        extra = [pu_id for pu_id, _ in scheduling.entries if pu_id not in engaged]
+        if extra:
+            raise ConfigurationError(f"per-device scheduling lists pu {extra[0]}, "
+                                     "which the directive does not engage")
+    return units, sizes

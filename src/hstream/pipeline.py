@@ -34,12 +34,10 @@ from hstream.ir import (
     AutoSchedule,
     DeviceSelector,
     ElementType,
-    PerDeviceSchedule,
     SchedulingSpec,
-    UniformSchedule,
 )
-from hstream.pdl import PlatformDescription, resolve_devices
-from hstream.runtime import AUTO_MIN_BYTES, ExecutableKernel, RunStats, execute
+from hstream.pdl import PlatformDescription, bind
+from hstream.runtime import ExecutableKernel, RunStats, execute
 
 QUEUE_CAPACITY = 2
 
@@ -290,16 +288,11 @@ def default_batch_elements(kernel: ExecutableKernel,
                            platform: PlatformDescription,
                            device: DeviceSelector,
                            scheduling: SchedulingSpec) -> int:
-    """Batch sizing rule: directive chunk size x engaged units x 4 (AUTO uses
-    the 1 MB policy floor as its chunk stand-in)."""
-    engaged = len(resolve_devices(platform, device))
-    if isinstance(scheduling, UniformSchedule):
-        chunk = scheduling.chunk_elements
-    elif isinstance(scheduling, PerDeviceSchedule):
-        chunk = max(scheduling.as_dict().values())
-    else:
-        chunk = max(1, AUTO_MIN_BYTES // kernel.max_element_size)
-    return max(1, chunk * engaged * 4)
+    """Batch sizing rule: largest chunk size x engaged units x 4, bound for a
+    stream of no known length (so AUTO's chunk is its 1 MB policy floor).
+    A directive the platform cannot serve raises, as `bind` does."""
+    units, sizes = bind(platform, device, scheduling, 0, kernel.max_element_size)
+    return max(1, max(sizes) * len(units) * 4)
 
 
 # --- The pipeline ------------------------------------------------------------------
@@ -383,17 +376,16 @@ def run_pipeline(source: StreamSource, kernel: ExecutableKernel,
     convention) and the stage trace. Unpaced, the wall time spans the whole
     pipeline on the host; paced, it is the sum of the batches' modelled
     makespans, since the processor runs one batch at a time.
-    A batch size below 1 raises ValueError before any stage starts. The first
-    stage error stops every stage at its next batch and re-raises as
+    A directive the platform cannot serve (ResolveError, ConfigurationError)
+    and a batch size below 1 (ValueError) raise before any stage starts. The
+    first stage error stops every stage at its next batch and re-raises as
     PipelineError, except that running out of memory, a fault of the host
     rather than of the stream, stays a MemoryError.
     """
     if sink is None:
         sink = DiscardSink()
-    if batch_elements is None:
-        batch_elements = default_batch_elements(kernel, platform, device,
-                                                scheduling)
-    batches = produce(source, batch_elements)
+    default = default_batch_elements(kernel, platform, device, scheduling)
+    batches = produce(source, default if batch_elements is None else batch_elements)
     trace = StageTrace()
     to_process: queue.Queue = queue.Queue(maxsize=QUEUE_CAPACITY)
     to_store: queue.Queue = queue.Queue(maxsize=QUEUE_CAPACITY)

@@ -26,15 +26,8 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from hstream.errors import ConfigurationError, DeviceMemoryError
-from hstream.ir import (
-    ALL_DEVICES,
-    AutoSchedule,
-    DeviceSelector,
-    PerDeviceSchedule,
-    SchedulingSpec,
-    UniformSchedule,
-)
-from hstream.pdl import PlatformDescription, ProcessingUnit, PuKind, resolve_devices
+from hstream.ir import ALL_DEVICES, AutoSchedule, DeviceSelector, SchedulingSpec
+from hstream.pdl import PlatformDescription, ProcessingUnit, PuKind, bind
 from hstream.runtime.cursor import Chunk, SharedCursor
 from hstream.runtime.device import (
     SimulatedDevice,
@@ -43,13 +36,6 @@ from hstream.runtime.device import (
     run_on_cpu,
 )
 from hstream.runtime.kernel import ExecutableKernel
-
-# AUTO policy: aim for ~16 claims per unit, proportional to configured speed,
-# clamped to [1 MB, 64 MB] worth of elements.
-AUTO_TARGET_CLAIMS = 16
-AUTO_MIN_BYTES = 2**20
-AUTO_MAX_BYTES = 64 * 2**20
-
 
 @dataclass
 class PuStats:
@@ -87,35 +73,6 @@ class RunStats:
                 merged.elements_processed += stats.elements_processed
                 merged.busy_time += stats.busy_time
         return RunStats(per_pu, wall_time, bytes_moved)
-
-
-def chunk_size_for(pu: ProcessingUnit, spec: SchedulingSpec, total: int,
-                   engaged: Sequence[ProcessingUnit],
-                   element_size: int = 8) -> int:
-    """Chunk size in elements for one unit among the `engaged` units under a
-    scheduling choice.
-
-    Uniform applies one size to every unit; per-device looks the unit up (a
-    missing entry is a configuration error, raised before any chunk is claimed);
-    AUTO splits the total proportionally to the engaged units' speeds, targeting
-    AUTO_TARGET_CLAIMS claims per unit, clamped to [1 MB, 64 MB] worth of
-    elements.
-    """
-    if isinstance(spec, UniformSchedule):
-        return spec.chunk_elements
-    if isinstance(spec, PerDeviceSchedule):
-        sizes = spec.as_dict()
-        if pu.id not in sizes:
-            raise ConfigurationError(
-                f"per-device scheduling does not list engaged pu {pu.id}")
-        return sizes[pu.id]
-    if isinstance(spec, AutoSchedule):
-        weight_sum = sum(p.speed_factor for p in engaged)
-        raw = round(total * pu.speed_factor / (AUTO_TARGET_CLAIMS * weight_sum))
-        lo = max(1, AUTO_MIN_BYTES // element_size)
-        hi = max(lo, AUTO_MAX_BYTES // element_size)
-        return min(max(raw, lo), hi)
-    raise TypeError(f"not a scheduling spec: {spec!r}")
 
 
 def _validate_host_data(kernel: ExecutableKernel,
@@ -174,9 +131,7 @@ def plan(kernel: ExecutableKernel, total: int, platform: PlatformDescription,
     Configuration problems raise here, before any chunk is evaluated,
     among them an accelerator claim whose buffers exceed the unit's memory
     (DeviceMemoryError)."""
-    pus = resolve_devices(platform, device)
-    sizes = [chunk_size_for(pu, scheduling, total, pus,
-                            element_size=kernel.max_element_size) for pu in pus]
+    pus, sizes = bind(platform, device, scheduling, total, kernel.max_element_size)
     full = [charge_seconds(pu, kernel, size) for pu, size in zip(pus, sizes)]
     # the host path evaluates in place and allocates no buffers
     capacity = [math.inf if pu.kind is PuKind.CPU else pu.memory_bytes

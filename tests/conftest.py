@@ -42,6 +42,25 @@ DISA_PDL = """\
 </platform>
 """
 
+# Directive clauses DISA (unit ids 0-4) cannot serve, each with the one error
+# line every command that binds the directive to the platform reports.
+UNSERVABLE_CLAUSES = [
+    ("device(9) scheduling(64)",
+     "unknown device id 9 (platform 'DISA' has ids [0, 1, 2, 3, 4])"),
+    ("device(1,1) scheduling(64)", "device id 1 listed more than once"),
+    ("device(*) scheduling(0:64)",
+     "per-device scheduling does not list engaged pu 1"),
+    ("device(1) scheduling(2:64)",
+     "per-device scheduling does not list engaged pu 1"),
+    ("device(1) scheduling(1:64, 2:64)",
+     "per-device scheduling lists pu 2, which the directive does not engage"),
+]
+
+
+def triad_with_clauses(clauses: str) -> str:
+    """TRIAD_SOURCE with its device and scheduling clauses replaced."""
+    return TRIAD_SOURCE.replace("device(*) scheduling(4096)", clauses)
+
 
 @pytest.fixture(scope="session")
 def disa():

@@ -11,7 +11,14 @@ from hstream.cli import main
 from hstream.frontend import compile_source
 from hstream.pipeline import FileSink, GeneratedSource
 from hstream.runtime import ExecutableKernel, evaluate_sequential
-from tests.conftest import DISA_PDL, GOLDEN, INVALID, PROGRAMS
+from tests.conftest import (
+    DISA_PDL,
+    GOLDEN,
+    INVALID,
+    PROGRAMS,
+    UNSERVABLE_CLAUSES,
+    triad_with_clauses,
+)
 
 TRIAD = PROGRAMS / "triad.hs.c"
 STREAM = PROGRAMS / "stream.hs.c"
@@ -146,7 +153,30 @@ def test_run_generated_to_discard(pdl_file, capsys):
                            "--input", "gen:1", "--output", "discard",
                            "--batch-mb", "0.5")
     assert code == 0
-    assert "MB/s" in out
+    # a paced run: every figure it prints is the cost model's
+    assert " s modelled, " in out and "MB/s modelled" in out
+    assert all(line.endswith(" s modelled") for line in out.splitlines()[1:])
+
+
+@pytest.mark.parametrize("clauses, message", UNSERVABLE_CLAUSES,
+                         ids=[c for c, _ in UNSERVABLE_CLAUSES])
+def test_compile_and_run_reject_an_unservable_directive_alike(
+        tmp_path, pdl_file, capsys, clauses, message):
+    """compile, run and run --batch-mb bind the directive to the platform
+    before anything starts, report the same single line, and write nothing."""
+    program = tmp_path / "triad.hs.c"
+    program.write_text(triad_with_clauses(clauses))
+    out_dir = tmp_path / "gen"
+    earlier = tmp_path / "out.bin"
+    earlier.write_bytes(b"an earlier run's output")
+    run = ("run", program, "--pdl", pdl_file, "--input", "gen:1",
+           "--output", earlier)
+    for argv in [("compile", program, "--pdl", pdl_file, "--out-dir", out_dir),
+                 run, (*run, "--batch-mb", "0.5")]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n"), argv[0]
+    assert not out_dir.exists()
+    assert earlier.read_bytes() == b"an earlier run's output"
 
 
 def test_run_file_to_file_round_trip(tmp_path, pdl_file, capsys):
@@ -325,7 +355,7 @@ def test_missing_pdl_is_io_error(tmp_path, capsys):
 
 def test_scalar_environment_zero_defaults():
     from hstream.cli import _scalar_environment
-    from hstream.frontend.parser import parse_source
+    from hstream.frontend import lex, parse
 
-    program = parse_source("int k;\ndouble s;\ndouble t;\nt = s + 1.0;\n")
+    program = parse(lex("int k;\ndouble s;\ndouble t;\nt = s + 1.0;\n"))
     assert _scalar_environment(program) == {"k": 0, "s": 0.0, "t": 1.0}

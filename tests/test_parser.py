@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hstream import errors
 from hstream.codegen import gen_cuda, gen_leo, gen_openmp
 from hstream.errors import CompileError
-from hstream.frontend import compile_source, format_program, parse_source
+from hstream.frontend import compile_source, format_program, lex, parse
 from hstream.frontend.ast import (
     Assignment,
     Declaration,
@@ -41,7 +41,7 @@ def only_directive(program):
 
 
 def test_triad_directive_clauses():
-    directive = only_directive(parse_source(TRIAD_SOURCE))
+    directive = only_directive(parse(lex(TRIAD_SOURCE)))
     in_clause, out_clause, device, scheduling = directive.clauses
     assert isinstance(in_clause, InClause)
     assert [r.name for r in in_clause.refs] == ["b", "c", "a", "scalar"]
@@ -61,7 +61,7 @@ stream<int> c;
     a = b;
 }
 """
-    directive = only_directive(parse_source(src))
+    directive = only_directive(parse(lex(src)))
     ins = [c for c in directive.clauses if isinstance(c, InClause)]
     assert len(ins) == 2
     assert ins[1].refs == (VarRef("c", ElementType.INT),)
@@ -75,7 +75,7 @@ double b[4];
     a = b;
 }
 """
-    directive = only_directive(parse_source(src))
+    directive = only_directive(parse(lex(src)))
     specs = [c.spec for c in directive.clauses if isinstance(c, SchedulingClause)]
     assert specs == [UniformSchedule(8), UniformSchedule(16)]
 
@@ -88,7 +88,7 @@ double b[4];
     a = b;
 }
 """
-    directive = only_directive(parse_source(src))
+    directive = only_directive(parse(lex(src)))
     device = next(c for c in directive.clauses if isinstance(c, DeviceClause))
     assert device.selector == DeviceIds((0, 2))
     sched = next(c for c in directive.clauses if isinstance(c, SchedulingClause))
@@ -104,13 +104,13 @@ def test_scheduling_auto_case_insensitive():
     a = 1.0;
 }}
 """
-        directive = only_directive(parse_source(src))
+        directive = only_directive(parse(lex(src)))
         sched = next(c for c in directive.clauses if isinstance(c, SchedulingClause))
         assert sched.spec == AutoSchedule()
 
 
 def test_declarations_all_shapes():
-    program = parse_source("int i;\ndouble d;\nint ia[8];\nstream<double> s;\n")
+    program = parse(lex("int i;\ndouble d;\nint ia[8];\nstream<double> s;\n"))
     decls = program.declarations
     assert [(d.name, d.kind, d.element_type) for d in decls] == [
         ("i", VarKind.SCALAR, ElementType.INT),
@@ -123,24 +123,24 @@ def test_declarations_all_shapes():
 
 def test_body_on_pragma_line_rejected():
     with pytest.raises(CompileError) as err:
-        parse_source("double a[4];\n#pragma hstream out(a) { a = 1.0; }\n")
+        parse(lex("double a[4];\n#pragma hstream out(a) { a = 1.0; }\n"))
     assert err.value.codes == [errors.SYNTAX]
     assert "line after the pragma" in err.value.diagnostics[0].message
 
 
 def test_empty_body_rejected():
     with pytest.raises(CompileError, match="at least one assignment"):
-        parse_source("double a[4];\n#pragma hstream out(a)\n{\n}\n")
+        parse(lex("double a[4];\n#pragma hstream out(a)\n{\n}\n"))
 
 
 def test_unclosed_body_rejected():
     with pytest.raises(CompileError, match="unclosed directive body"):
-        parse_source("double a[4];\n#pragma hstream out(a)\n{\n    a = 1.0;\n")
+        parse(lex("double a[4];\n#pragma hstream out(a)\n{\n    a = 1.0;\n"))
 
 
 def test_malformed_clause_argument_position():
     with pytest.raises(CompileError) as err:
-        parse_source("double a[4];\n#pragma hstream device(x)\n{\n    a = 1.0;\n}\n")
+        parse(lex("double a[4];\n#pragma hstream device(x)\n{\n    a = 1.0;\n}\n"))
     (diag,) = err.value.diagnostics
     assert diag.code == errors.SYNTAX
     assert diag.line == 2
@@ -148,7 +148,7 @@ def test_malformed_clause_argument_position():
 
 def test_unknown_clause_rejected():
     with pytest.raises(CompileError, match="expected clause"):
-        parse_source("double a[4];\n#pragma hstream shared(a)\n{\n    a = 1.0;\n}\n")
+        parse(lex("double a[4];\n#pragma hstream shared(a)\n{\n    a = 1.0;\n}\n"))
 
 
 # Pinned printer cases; tests/test_emitted_c.py also compiles each with gcc.
@@ -167,10 +167,10 @@ PRECEDENCE_CASES = {
 @pytest.mark.parametrize("source,printed", PRECEDENCE_CASES.values(),
                          ids=PRECEDENCE_CASES.keys())
 def test_expression_precedence_and_parens(source, printed):
-    program = parse_source(f"double x;\nx = {source};\n")
+    program = parse(lex(f"double x;\nx = {source};\n"))
     text = format_program(program)
     assert f"x = {printed};" in text
-    assert parse_source(text) == program
+    assert parse(lex(text)) == program
 
 
 _NAMES = ("a", "b", "s")
@@ -195,7 +195,7 @@ _exprs = st.recursive(
 def test_printed_expressions_reparse_and_never_print_a_decrement(expr):
     program = Program((Assignment("a", expr),))
     text = format_program(program)
-    assert parse_source(text) == program
+    assert parse(lex(text)) == program
     source = ("double a[4];\ndouble b[4];\ndouble s;\n"
               f"#pragma hstream in(a, b, s) out(a)\n{{\n    {text}}}\n")
     kernel = compile_source(source).kernels[0]
@@ -207,10 +207,10 @@ def test_printed_expressions_reparse_and_never_print_a_decrement(expr):
 @pytest.mark.parametrize("path", sorted(PROGRAMS.glob("*.hs.c")),
                          ids=lambda p: p.name)
 def test_roundtrip_shipped_programs(path):
-    program = parse_source(path.read_text())
+    program = parse(lex(path.read_text()))
     printed = format_program(program)
-    assert parse_source(printed) == program
-    assert format_program(parse_source(printed)) == printed
+    assert parse(lex(printed)) == program
+    assert format_program(parse(lex(printed))) == printed
 
 
 def test_roundtrip_synthetic_directive():
@@ -226,8 +226,8 @@ n = 3;
     b = t - -1.5/a;
 }
 """
-    program = parse_source(src)
-    assert parse_source(format_program(program)) == program
+    program = parse(lex(src))
+    assert parse(lex(format_program(program))) == program
 
 
 def test_program_items_preserve_order():
@@ -236,13 +236,13 @@ def test_program_items_preserve_order():
         # parses fine, fails later in semantics; here only shape matters
         from hstream.frontend import compile_source
         compile_source(src)
-    program = parse_source(src)
+    program = parse(lex(src))
     assert isinstance(program.items[0], Declaration)
     assert isinstance(program.items[1], Assignment)
 
 
 def test_directive_node_positions():
-    program = parse_source(TRIAD_SOURCE)
+    program = parse(lex(TRIAD_SOURCE))
     directive = only_directive(program)
     assert isinstance(directive, DirectiveNode)
     assert directive.line == 8

@@ -11,9 +11,16 @@ import numpy as np
 import pytest
 
 from hstream.bench import resolve_config
-from hstream.errors import PipelineError
+from hstream.errors import ConfigurationError, PipelineError, ResolveError
 from hstream.frontend import compile_file, compile_source
-from hstream.ir import ALL_DEVICES, ElementType, UniformSchedule
+from hstream.ir import (
+    ALL_DEVICES,
+    AutoSchedule,
+    DeviceIds,
+    ElementType,
+    PerDeviceSchedule,
+    UniformSchedule,
+)
 from hstream.pdl import parse_pdl, parse_pdl_file
 from hstream.pipeline import (
     QUEUE_CAPACITY,
@@ -36,8 +43,10 @@ from tests.conftest import (
     PLATFORMS,
     PROGRAMS,
     TRIAD_SOURCE,
+    UNSERVABLE_CLAUSES,
     SlowKernel,
     SlowSink,
+    triad_with_clauses,
 )
 
 SMALL_PLATFORM = """<platform name="small">
@@ -519,7 +528,36 @@ def test_int_stream_file_source(tmp_path):
 
 
 def test_default_batch_rule():
+    """Largest chunk x engaged units x 4; AUTO's chunk is its 1 MB floor."""
     platform = parse_pdl(DISA_PDL)
     kern = triad_kernel()
-    assert default_batch_elements(kern, platform, ALL_DEVICES,
-                                  UniformSchedule(4096)) == 4096 * 5 * 4
+    per_device = PerDeviceSchedule(((0, 100), (1, 300), (2, 200), (3, 50), (4, 10)))
+    for device, scheduling, expected in [
+            (ALL_DEVICES, UniformSchedule(4096), 4096 * 5 * 4),
+            (ALL_DEVICES, AutoSchedule(), (2**20 // 8) * 5 * 4),
+            (DeviceIds((4, 1)), AutoSchedule(), (2**20 // 8) * 2 * 4),
+            (ALL_DEVICES, per_device, 300 * 5 * 4),
+            (DeviceIds((3, 1)), PerDeviceSchedule(((1, 20), (3, 700))), 700 * 2 * 4)]:
+        assert default_batch_elements(kern, platform, device, scheduling) == expected
+
+
+@pytest.mark.parametrize("clauses, message", UNSERVABLE_CLAUSES,
+                         ids=[c for c, _ in UNSERVABLE_CLAUSES])
+def test_unservable_directive_raises_before_any_stage(monkeypatch, clauses,
+                                                      message):
+    """With the batch size given or left to the default rule alike."""
+    spec = compile_source(triad_with_clauses(clauses), "Triad").kernels[0]
+    kern = ExecutableKernel.from_kernel_spec(spec, {"scalar": 3.0})
+    reads, started = [], []
+    source = ListSource(kern.input_arrays, 256)
+    monkeypatch.setattr(source, "read", lambda n: reads.append(n) or (0, {}))
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self.name) or start(self))
+    for batch_elements in (None, 64):
+        with pytest.raises((ResolveError, ConfigurationError)) as caught:
+            run_pipeline(source, kern, parse_pdl(DISA_PDL), spec.device,
+                         spec.scheduling, batch_elements)
+        assert str(caught.value) == message
+        assert reads == []
+        assert not [name for name in started if name.startswith("hstream-")]

@@ -9,25 +9,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hstream.bench import resolve_config
-from hstream.errors import ConfigurationError, DeviceMemoryError
+from hstream.errors import ConfigurationError, DeviceMemoryError, ResolveError
 from hstream.frontend import compile_source
 from hstream.ir import (
+    ALL_DEVICES,
     AutoSchedule,
     DeviceIds,
     PerDeviceSchedule,
     UniformSchedule,
 )
-from hstream.pdl import parse_pdl
-from hstream.pipeline import MemorySink, run_pipeline
-from hstream.runtime import (
+from hstream.pdl import (
     AUTO_MAX_BYTES,
     AUTO_MIN_BYTES,
+    bind,
+    chunk_size_for,
+    parse_pdl,
+)
+from hstream.pipeline import GeneratedSource, MemorySink, run_pipeline
+from hstream.runtime import (
     Chunk,
     ExecutableKernel,
     SharedCursor,
     SimulatedDevice,
     charge_seconds,
-    chunk_size_for,
     compute_seconds,
     evaluate_sequential,
     execute,
@@ -526,6 +530,55 @@ def test_plan_is_the_paced_execution(platform, data, total):
             (counts[pu_id], elements[pu_id], clocks[pu_id])
     assert schedule.makespan == max(clocks.values())
     assert host["a"].tobytes() == evaluate_sequential(kern, {"b": b, "c": c})["a"].tobytes()
+
+
+def _raised(call):
+    """(type, message) of what `call()` raises, or None if it returns."""
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=50, deadline=None)
+@given(platforms(), st.data(), st.integers(1, 2000))
+def test_no_configuration_error_is_raised_in_flight(platform, data, total):
+    """Whatever the clauses, the planner fails exactly when binding does, and
+    a pipeline fails as binding does, before any stage, or not at all."""
+    ids = [pu.id for pu in platform.pus]
+    known_or_not = ids + [max(ids) + 1, 9]
+    device = data.draw(st.one_of(
+        st.just(ALL_DEVICES),  # or lists that may repeat ids or name unknown ones
+        st.lists(st.sampled_from(known_or_not), max_size=4).map(
+            lambda l: DeviceIds(tuple(l)))))
+    chunk = st.integers(1, 700)
+    kind = data.draw(st.sampled_from(["uniform", "auto", "per-device"]))
+    if kind == "uniform":
+        scheduling = UniformSchedule(data.draw(chunk))
+    elif kind == "auto":
+        scheduling = AutoSchedule()
+    else:
+        # the listed units, with at most one entry dropped and one added
+        listed = ids if device == ALL_DEVICES else list(dict.fromkeys(device.ids))
+        others = [i for i in known_or_not if i not in listed]
+
+        def at_most_one(values):
+            return st.sets(st.sampled_from(values), max_size=1) if values else st.just(set())
+
+        drop, add = data.draw(at_most_one(listed)), data.draw(at_most_one(others))
+        scheduling = PerDeviceSchedule(tuple(
+            (i, data.draw(chunk)) for i in [*listed, *add] if i not in drop))
+    kern = triad()
+
+    bound = _raised(lambda: bind(platform, device, scheduling, total,
+                                 kern.max_element_size))
+    assert _raised(lambda: plan(kern, total, platform, device, scheduling)) == bound
+    source = GeneratedSource(kern.input_arrays, total)
+    ran = _raised(lambda: run_pipeline(source, kern, platform, device,
+                                       scheduling, batch_elements=total))
+    assert ran == bound
+    assert bound is None or bound[0] in (ResolveError, ConfigurationError)
 
 
 def test_int_kernel_c_division_semantics():
